@@ -225,9 +225,10 @@ class Engine:
         A supervised backend whose circuit breaker is open reports
         ``healthy() == False`` and is dropped from the candidate set, so
         ``backend="auto"`` degrades around it (process → parallel) until
-        the breaker half-opens and a probe heals it.  Explicit
-        ``backend="name"`` requests bypass this filter — their supervised
-        fallbacks keep them safe.
+        the breaker half-opens and a probe heals it.  The process backend
+        also reports unhealthy inside a daemonic process, where no pool
+        may start.  Explicit ``backend="name"`` requests bypass this
+        filter — their supervised fallbacks keep them safe.
         """
         healthy = {name: b for name, b in self.backends.items() if b.healthy()}
         return healthy if healthy else self.backends

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import pickle
 import threading
@@ -93,6 +94,16 @@ _MAX_WORKER_PLANS = 128
 def default_process_count() -> int:
     """Default worker-process count: the machine's cores, bounded."""
     return max(1, min(16, os.cpu_count() or 1))
+
+
+def _pool_allowed() -> bool:
+    """Can this process own a worker pool at all?
+
+    A daemonic process (a ``NetServer`` worker, say) may not have
+    children, so its engines run every shard locally and ``auto`` never
+    routes to this backend there.
+    """
+    return not multiprocessing.current_process().daemon
 
 
 # -- worker side -------------------------------------------------------------
@@ -252,7 +263,7 @@ class ProcessBackend(ShardedBackend):
     # -- pool --------------------------------------------------------------
 
     def _executor(self) -> ProcessPoolExecutor | None:
-        if self.max_workers <= 1:
+        if self.max_workers <= 1 or not _pool_allowed():
             return None
         pool = self._pool
         if pool is None:
@@ -306,8 +317,9 @@ class ProcessBackend(ShardedBackend):
     # -- supervision -------------------------------------------------------
 
     def healthy(self) -> bool:
-        """False while the circuit breaker is open (selector routes away)."""
-        return self.breaker.allow()
+        """False while the circuit breaker is open, or where no pool may
+        start (a daemonic process): the selector routes away."""
+        return _pool_allowed() and self.breaker.allow()
 
     def _pool_map(
         self,
@@ -317,13 +329,14 @@ class ProcessBackend(ShardedBackend):
     ) -> list:
         """``pool.map`` with coordinator-side deadline enforcement.
 
-        Without an ambient deadline this is a plain blocking map.  With
-        one, each shard is submitted as a future and awaited with the
-        deadline's remaining budget — workers never see the coordinator's
-        context variable (it does not survive pickling), so the
-        coordinator polices the clock: an expired wait cancels every
-        outstanding future and raises
-        :class:`~repro.errors.DeadlineExceeded`.  The fault-injection
+        Each shard is submitted as a future.  Without an ambient deadline
+        the wait is a plain blocking map; with one, each future is
+        awaited with the deadline's remaining budget — workers never see
+        the coordinator's context variable (it does not survive
+        pickling), so the coordinator polices the clock: an expired wait
+        cancels every outstanding future and raises
+        :class:`~repro.errors.DeadlineExceeded`.  A pool whose workers
+        cannot start raises :class:`BrokenExecutor`.  The fault-injection
         site ``process.pool`` fires per attempt, before submission, so an
         injected :class:`~repro.engine.faults.InjectedFault` exercises
         the same supervised-recovery path as a genuinely broken pool.
@@ -331,27 +344,33 @@ class ProcessBackend(ShardedBackend):
         faults.fire("process.pool")
         if pool is None:  # pragma: no cover - callers gate on _executor()
             raise BrokenExecutor("worker pool unavailable")
+        try:
+            # strict=False: the payload columns are itertools.repeat — the
+            # finite chunk column bounds the zip, exactly like pool.map.
+            futures: list[Future] = [
+                pool.submit(fn, *args) for args in zip(*columns, strict=False)
+            ]
+        except (OSError, AssertionError) as exc:
+            # Workers start on submit; a pool that cannot start (out of
+            # processes, or a daemonic parent) is a broken pool.
+            raise BrokenExecutor(f"worker pool cannot start: {exc!r}") from exc
         deadline = current_deadline()
-        if deadline is None:
-            return list(pool.map(fn, *columns))
-        # strict=False: the payload columns are itertools.repeat — the
-        # finite chunk column bounds the zip, exactly like pool.map.
-        futures: list[Future] = [
-            pool.submit(fn, *args) for args in zip(*columns, strict=False)
-        ]
         results: list[Any] = []
         try:
             for future in futures:
-                remaining = deadline.remaining()
-                if remaining <= 0.0:
+                remaining = None if deadline is None else deadline.remaining()
+                if remaining is not None and remaining <= 0.0:
                     raise FuturesTimeout
                 results.append(future.result(timeout=remaining))
-        except FuturesTimeout:
+        except BaseException as exc:
+            # Like pool.map: a failed or abandoned wait cancels the rest.
             for future in futures:
                 future.cancel()
-            raise DeadlineExceeded(
-                "deadline exceeded waiting on process pool"
-            ) from None
+            if isinstance(exc, FuturesTimeout):
+                raise DeadlineExceeded(
+                    "deadline exceeded waiting on process pool"
+                ) from None
+            raise
         return results
 
     def _supervised(self, attempt: Callable[[], list]) -> list | None:
@@ -372,8 +391,9 @@ class ProcessBackend(ShardedBackend):
             try:
                 result = attempt()
             except (BrokenExecutor, InjectedFault):
-                # A crashed worker (OOM kill, interpreter teardown) or an
-                # injected coordinator fault must not take the query down.
+                # A crashed worker (OOM kill, interpreter teardown), a
+                # pool that cannot start, or an injected coordinator
+                # fault must not take the query down.
                 self._discard_pool()
                 self.breaker.record_failure()
                 if trial < restarts and self.breaker.allow():

@@ -36,6 +36,7 @@ from repro.values.values import (
 __all__ = [
     "value_to_json",
     "value_from_json",
+    "MAX_VALUE_DEPTH",
     "dumps_value",
     "loads_value",
     "dumps_type",
@@ -75,13 +76,20 @@ def value_to_json(v: Value) -> object:
     raise OrNRAValueError(f"not a value: {v!r}")
 
 
-def _json_elements(data: dict, key: str) -> list[Value]:
+#: Deepest value nesting :func:`value_from_json` accepts.  The engine
+#: recurses per level (normalizing a set nested ~160 deep already
+#: exhausts Python's default recursion limit), so deeper input is
+#: refused at the boundary with a structured error.
+MAX_VALUE_DEPTH = 100
+
+
+def _json_elements(data: dict, key: str, depth: int) -> list[Value]:
     elems = data[key]
     if not isinstance(elems, list):
         raise OrNRAValueError(
             f"malformed value JSON: {key!r} expects a list of elements, got {elems!r}"
         )
-    return [value_from_json(e) for e in elems]
+    return [_decode(e, depth) for e in elems]
 
 
 def value_from_json(data: object) -> Value:
@@ -89,10 +97,20 @@ def value_from_json(data: object) -> Value:
 
     Every malformed fragment — a ``"pair"`` that is not a two-element
     list, a non-list ``"set"``/``"orset"``/``"bag"``, an ``"atom"``
-    without a ``"value"`` — raises :class:`~repro.errors.OrNRAValueError`
-    naming the offending fragment, never a bare ``ValueError`` or
-    ``TypeError`` from the decoding plumbing.
+    without a ``"value"``, nesting deeper than :data:`MAX_VALUE_DEPTH` —
+    raises :class:`~repro.errors.OrNRAValueError` naming the offending
+    fragment, never a bare ``ValueError``, ``TypeError`` or
+    ``RecursionError`` from the decoding plumbing.
     """
+    return _decode(data, 0)
+
+
+def _decode(data: object, depth: int) -> Value:
+    if depth > MAX_VALUE_DEPTH:
+        raise OrNRAValueError(
+            f"malformed value JSON: nested deeper than {MAX_VALUE_DEPTH} levels"
+        )
+    depth += 1
     if not isinstance(data, dict):
         raise OrNRAValueError(f"malformed value JSON: {data!r}")
     if "unit" in data:
@@ -112,17 +130,17 @@ def value_from_json(data: object) -> Value:
             raise OrNRAValueError(
                 f"malformed value JSON: 'pair' expects [left, right], got {sides!r}"
             )
-        return Pair(value_from_json(sides[0]), value_from_json(sides[1]))
+        return Pair(_decode(sides[0], depth), _decode(sides[1], depth))
     if "set" in data:
-        return SetValue(_json_elements(data, "set"))
+        return SetValue(_json_elements(data, "set", depth))
     if "orset" in data:
-        return OrSetValue(_json_elements(data, "orset"))
+        return OrSetValue(_json_elements(data, "orset", depth))
     if "bag" in data:
-        return BagValue(_json_elements(data, "bag"))
+        return BagValue(_json_elements(data, "bag", depth))
     if "inl" in data:
-        return Variant(0, value_from_json(data["inl"]))
+        return Variant(0, _decode(data["inl"], depth))
     if "inr" in data:
-        return Variant(1, value_from_json(data["inr"]))
+        return Variant(1, _decode(data["inr"], depth))
     raise OrNRAValueError(f"malformed value JSON: {data!r}")
 
 

@@ -15,10 +15,11 @@ Response::
     {"id": 1, "error": "...", "code": "malformed"}
 
 Requests on different lines are admitted concurrently, so consecutive
-lines land in the same micro-batch and duplicate inputs are evaluated
-once — the whole point of the front-end.  EOF closes the server cleanly
-(in-flight requests are served first) and prints the batching stats to
-stderr.
+lines that queue up land in the same micro-batch and duplicate inputs
+are evaluated once — the whole point of the front-end.  A lone line on
+an idle server is dispatched at once, without waiting out the window.
+EOF closes the server cleanly (in-flight requests are served first) and
+prints the batching stats to stderr.
 
 The framing layer is hardened against hostile or broken peers: input
 lines longer than ``--max-line`` are rejected with a structured error
@@ -31,10 +32,11 @@ answer ``"code": "deadline"``; over-budget inputs answer
 arrives for that many seconds — a dead peer cannot hold the process
 open forever.
 
-Flags: ``--backend`` (default ``auto``), ``--window`` (batching window,
-seconds), ``--max-batch``, ``--timeout`` (per-request deadline,
-seconds), ``--max-pending``, ``--cost-budget``, ``--max-line`` (bytes),
-``--idle-timeout`` (seconds), ``--quiet`` (suppress the stats line).
+Flags: ``--backend`` (default ``auto``), ``--window`` (longest batching
+wait under backlog, seconds), ``--max-batch``, ``--timeout``
+(per-request deadline, seconds), ``--max-pending``, ``--cost-budget``,
+``--max-line`` (bytes), ``--idle-timeout`` (seconds), ``--quiet``
+(suppress the stats line).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import json
 import sys
 import threading
 
-from repro.serve.proto import DEFAULT_MAX_LINE, error_frame as _error_frame
+from repro.serve.proto import DEFAULT_MAX_LINE, error_frame as _error_frame, loads_frame
 from repro.serve.server import AsyncEngine
 
 __all__ = ["main", "amain"]
@@ -60,7 +62,7 @@ async def _handle(engine: AsyncEngine, line: str, stdout) -> None:
     request_id = None
     try:
         line = faults.fire("serve.frame", line)
-        request = json.loads(line)
+        request = loads_frame(line)
         request_id = request.get("id")
         program = request["program"]
         if "values" in request:
@@ -117,7 +119,13 @@ async def amain(
         prog="python -m repro.serve", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--backend", default="auto")
-    parser.add_argument("--window", type=float, default=0.002)
+    parser.add_argument(
+        "--window",
+        type=float,
+        default=0.002,
+        help="longest batching wait under backlog, seconds (a request on "
+        "an idle queue is dispatched at once)",
+    )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--max-pending", type=int, default=1024)

@@ -10,8 +10,9 @@ mode.  One :class:`NetServer` speaks two protocols on one port:
   stdio server (see :mod:`repro.serve.proto`), plus ``{"op": "count"}``
   for world counts and ``{"op": "stats"}`` for the live stats snapshot.
   Frames on one connection are admitted concurrently, so a burst of
-  lines lands in one micro-batch and duplicate inputs are deduplicated —
-  the whole point of the front-end.
+  lines that queues up lands in one micro-batch and duplicate inputs are
+  deduplicated — the whole point of the front-end — while a lone frame
+  on an idle server is dispatched at once (see :class:`AsyncEngine`).
 * **a minimal HTTP path** — ``POST /run`` and ``POST /count`` take the
   same request object as a frame (sans ``id``) as their JSON body;
   ``GET /stats`` answers the stats snapshot.  Structured error codes map
@@ -62,7 +63,7 @@ from collections import OrderedDict
 from repro.errors import OrNRAError, Overloaded
 from repro.io import program_digest
 from repro.serve.metrics import TokenBucket
-from repro.serve.proto import DEFAULT_MAX_LINE, HTTP_STATUS, error_frame
+from repro.serve.proto import DEFAULT_MAX_LINE, HTTP_STATUS, error_frame, loads_frame
 from repro.serve.server import AsyncEngine, ServerClosed
 
 __all__ = ["NetServer", "RateLimiter", "main", "amain"]
@@ -448,7 +449,7 @@ class NetServer:
     async def _serve_frame(self, text: str, writer, write_lock, key: str) -> None:
         request_id = None
         try:
-            request = json.loads(text)
+            request = loads_frame(text)
             if isinstance(request, dict):
                 request_id = request.get("id")
             self._admit_client(key)
@@ -499,7 +500,7 @@ class NetServer:
                 # server must still answer "how bad is it?".
                 return 200, {"stats": await self._stats_payload()}
             if method == "POST" and path in ("/run", "/count"):
-                request = json.loads(body.decode("utf-8", "replace"))
+                request = loads_frame(body.decode("utf-8", "replace"))
                 if not isinstance(request, dict):
                     raise OrNRAError(f"malformed request body: {request!r}")
                 if path == "/count":
@@ -534,7 +535,13 @@ async def amain(argv: "list[str] | None" = None, *, ready=None) -> None:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--backend", default="auto")
-    parser.add_argument("--window", type=float, default=0.002)
+    parser.add_argument(
+        "--window",
+        type=float,
+        default=0.002,
+        help="longest batching wait under backlog, seconds (a request on "
+        "an idle queue is dispatched at once)",
+    )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--max-pending", type=int, default=1024)

@@ -31,10 +31,16 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import CostBudgetExceeded, DeadlineExceeded, Overloaded, OrNRAError
+from repro.errors import (
+    CostBudgetExceeded,
+    DeadlineExceeded,
+    Overloaded,
+    OrNRAError,
+    OrNRAValueError,
+)
 from repro.serve.server import ServerClosed
 
-__all__ = ["DEFAULT_MAX_LINE", "error_frame", "HTTP_STATUS"]
+__all__ = ["DEFAULT_MAX_LINE", "error_frame", "HTTP_STATUS", "loads_frame"]
 
 #: Default cap on one request line (1 MiB of text).
 DEFAULT_MAX_LINE = 1 << 20
@@ -49,6 +55,18 @@ HTTP_STATUS = {
     "deadline": 504,
     "oversized": 431,
 }
+
+
+def loads_frame(text: "str | bytes") -> object:
+    """Parse one request frame's JSON text.
+
+    Nesting too deep for the JSON decoder itself is a malformed frame,
+    like nesting past :data:`repro.io.MAX_VALUE_DEPTH` at value decode.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise OrNRAValueError("malformed request frame: nested too deep") from None
 
 
 def error_frame(exc: BaseException) -> dict:

@@ -8,9 +8,15 @@ turns that stream back into batches:
 
 * ``await engine.run_json(program, value)`` admits a single request and
   resolves when its result is ready;
-* requests are collected into **micro-batches**: the first request opens
-  a batching window (``batch_window`` seconds, ``max_batch`` requests)
-  and everything admitted inside it ships as one batch;
+* requests are collected into **adaptive micro-batches**: a request
+  that finds the queue otherwise empty is dispatched at once, with no
+  wait; when others are already queued behind it (a backlog), the
+  batcher keeps collecting for up to ``batch_window`` seconds (at most
+  ``max_batch`` requests) and ships them as one batch.  Because the
+  batcher awaits each dispatch before collecting again, requests that
+  arrive while a batch executes form the next batch (group commit), so
+  batching and dedupe still pay under load while an idle server adds
+  no window to a lone request;
 * within a batch, requests are grouped by program and **deduplicated**
   on the canonical JSON encoding of their inputs — one thousand clients
   asking ``normalize`` of the same world trigger *one* evaluation, and
@@ -72,7 +78,7 @@ import asyncio
 import json
 from typing import Sequence
 
-from repro.errors import CostBudgetExceeded, DeadlineExceeded, Overloaded
+from repro.errors import CostBudgetExceeded, DeadlineExceeded, OrNRAValueError, Overloaded
 from repro.io import count_worlds_json, run_json_many
 from repro.serve.metrics import ServerMetrics
 
@@ -115,10 +121,14 @@ class AsyncEngine:
     """Concurrent admission and micro-batched evaluation of JSON queries.
 
     *backend* is the engine backend each batch runs under (``"auto"``
-    lets the cost model pick per distinct input); *batch_window* is how
-    long the batcher waits for more requests after the first one arrives
-    (seconds; ``0`` batches only what is already queued); *max_batch*
-    caps requests per batch; *max_workers* bounds the per-batch fan-out
+    lets the cost model pick per distinct input); *batch_window* is the
+    longest the batcher waits for more requests under load (seconds;
+    ``0`` batches only what is already queued).  The window is opened
+    only when a backlog exists: a request that finds the queue otherwise
+    empty is dispatched at once, so an idle engine adds no wait, while
+    requests that queue up behind a running batch are collected (for up
+    to the window) into the next one.  *max_batch* caps requests per
+    batch; *max_workers* bounds the per-batch fan-out
     inside :func:`repro.io.run_json_many`.
 
     Robustness knobs: *max_pending* bounds admitted-but-unresolved
@@ -448,7 +458,12 @@ class AsyncEngine:
                 break
             batch = [first]
             shutting_down = self._collect_nowait(batch)
-            deadline = loop.time() + self.batch_window
+            # Adaptive window: a lone request on an idle queue ships at
+            # once; only a backlog (others already queued behind it) is
+            # worth waiting up to ``batch_window`` to grow.  Requests
+            # arriving while a batch executes still coalesce, because
+            # the next batch is collected only after this one resolves.
+            deadline = loop.time() + (self.batch_window if len(batch) > 1 else 0.0)
             while not shutting_down and len(batch) < self.max_batch:
                 timeout = deadline - loop.time()
                 if timeout <= 0:
@@ -639,7 +654,9 @@ class AsyncEngine:
         snapshot = dict(self._stats)
         snapshot["pending"] = self._pending
         process = BACKENDS.get("process")
-        snapshot["breaker_open"] = bool(process is not None and not process.healthy())
+        snapshot["breaker_open"] = bool(
+            process is not None and process.breaker.state == "open"
+        )
         if self.metrics is not None:
             snapshot["latency"] = self.metrics.snapshot()
         return snapshot
@@ -647,4 +664,7 @@ class AsyncEngine:
 
 def _canonical(value_json) -> str:
     """A structural dedupe key: canonical JSON text of the input."""
-    return json.dumps(value_json, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(value_json, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        raise OrNRAValueError("malformed value JSON: nested too deep") from None

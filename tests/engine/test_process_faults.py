@@ -15,6 +15,10 @@ coordinator are inherited by forked workers, so ``crash`` rules produce
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine import (
@@ -173,6 +177,46 @@ class TestSupervisedRecovery:
                     backend._pool_map(backend._executor(), _worker_ping, range(2))
         finally:
             backend.close()
+
+
+class _NoStartContext(type(multiprocessing.get_context("spawn"))):
+    """A start-method context whose worker processes can never start."""
+
+    class Process(multiprocessing.get_context("spawn").Process):
+        def start(self):
+            raise OSError(errno.EAGAIN, "cannot start a worker process")
+
+
+class TestPoolCannotStart:
+    def test_start_failure_degrades_to_local(self):
+        backend = fast_backend(mp_context=_NoStartContext())
+        eng = Engine()
+        eng.backends["process"] = backend
+        xs = vset(*range(100))
+        try:
+            out = eng.run(SetMap(DOUBLE), xs, backend="process")
+        finally:
+            backend.close()
+        assert out == eng.run(SetMap(DOUBLE), xs, backend="eager")
+        assert backend.pool_fallbacks >= 1
+        assert backend.remote_chunks == 0
+
+    def test_daemonic_process_never_owns_a_pool(self, monkeypatch):
+        daemon = SimpleNamespace(daemon=True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        backend = fast_backend()
+        eng = Engine()
+        eng.backends["process"] = backend
+        xs = vset(*range(100))
+        backend.warm()
+        assert backend._executor() is None
+        assert not backend.healthy()
+        assert "process" not in eng._available()
+        assert eng.run(SetMap(DOUBLE), xs, backend="process") == eng.run(
+            SetMap(DOUBLE), xs, backend="eager"
+        )
+        assert backend.remote_chunks == 0
+        assert backend.pool_fallbacks == 0
 
 
 class TestCircuitBreaker:

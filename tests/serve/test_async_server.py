@@ -15,10 +15,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
+from repro.errors import OrNRAValueError
 from repro.io import run_json, value_to_json
+from repro.serve import server as server_module
 from repro.serve import AsyncEngine, ServerClosed
 from repro.values.values import vorset, vpair, vset
 
@@ -106,6 +110,61 @@ class TestBatchingAndDedupe:
         assert stats["groups"] >= 2
 
 
+class TestAdaptiveWindow:
+    """The window is paid only under backlog, never by a lone request."""
+
+    def test_lone_request_on_an_idle_queue_skips_the_window(self):
+        async def main():
+            async with AsyncEngine(batch_window=1.0) as engine:
+                await engine.run_json("normalize", orset_json(0))  # warm caches
+                start = time.perf_counter()
+                result = await engine.run_json("normalize", orset_json(1, 2))
+                return result, time.perf_counter() - start
+
+        result, elapsed = asyncio.run(main())
+        assert result == run_json("normalize", orset_json(1, 2))
+        assert elapsed < 0.25  # the old fixed window alone was 1.0 s
+
+    def test_admissions_during_a_batch_coalesce_and_dedupe(self, monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        real = server_module.run_json_many
+
+        def gated(program, values, *args, **kwargs):
+            # Hold the first batch in flight until the test lets it go.
+            if not started.is_set():
+                started.set()
+                assert release.wait(10)
+            return real(program, values, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "run_json_many", gated)
+
+        async def main():
+            async with AsyncEngine(backend="eager", batch_window=0.05) as engine:
+                head = asyncio.ensure_future(engine.run_json("normalize", orset_json(0)))
+                while not started.is_set():
+                    await asyncio.sleep(0.001)
+                payloads = [orset_json(1, 2)] * 3 + [orset_json(3)] * 2
+                rest = [
+                    asyncio.ensure_future(engine.run_json("normalize", p))
+                    for p in payloads
+                ]
+                while engine.stats()["requests"] < 6:
+                    await asyncio.sleep(0.001)
+                release.set()
+                return await head, await asyncio.gather(*rest), payloads, engine.stats()
+
+        head, results, payloads, stats = asyncio.run(main())
+        assert head == run_json("normalize", orset_json(0))
+        assert results == [run_json("normalize", p) for p in payloads]
+        # The lone head shipped alone; the five queued behind it became
+        # one batch with two distinct inputs.
+        assert stats["batches"] == 2
+        assert stats["batched_inputs"] == 6
+        assert stats["unique_inputs"] == 3
+        assert stats["deduped_inputs"] == 3
+
+
 class TestErrorIsolation:
     def test_bad_request_does_not_poison_the_batch(self):
         async def main():
@@ -155,6 +214,19 @@ class TestErrorIsolation:
                 return await engine.run_json("normalize", orset_json(2))
 
         assert asyncio.run(main()) == run_json("normalize", orset_json(2))
+
+    def test_too_deep_for_the_dedupe_key_is_malformed(self):
+        value = {"atom": "int", "value": 1}
+        for _ in range(5000):
+            value = {"inl": value}
+
+        async def main():
+            async with AsyncEngine() as engine:
+                with pytest.raises(OrNRAValueError):
+                    await engine.run_json("normalize", value)
+                return await engine.run_json("normalize", orset_json(1))
+
+        assert asyncio.run(main()) == run_json("normalize", orset_json(1))
 
     def test_unparsable_program_is_per_request(self):
         async def main():

@@ -244,6 +244,18 @@ class TestStdioHardening:
         assert frames[0]["code"] == "malformed"
         assert frames[0]["id"] == 7
 
+    def test_deeply_nested_value_is_malformed(self):
+        value = {"atom": "int", "value": 1}
+        for _ in range(600):
+            value = {"inl": value}
+        deep = json.dumps({"id": 8, "program": "normalize", "value": value}) + "\n"
+        too_deep_to_parse = "[" * 5000 + "]" * 5000 + "\n"
+        good = json.dumps({"id": 9, "program": "map(id)", "value": PAYLOAD}) + "\n"
+        frames = {f.get("id"): f for f in run_stdio([deep, too_deep_to_parse, good])}
+        assert frames[8]["code"] == "malformed"
+        assert frames[None]["code"] == "malformed"
+        assert frames[9] == {"id": 9, "result": PAYLOAD}
+
     def test_oversized_line_is_rejected_and_skipped(self):
         good = json.dumps({"id": 2, "program": "map(id)", "value": PAYLOAD}) + "\n"
         frames = run_stdio(

@@ -21,6 +21,20 @@ def orset_json(*xs):
     return value_to_json(vorset(*xs))
 
 
+def nested_json(depth: int):
+    """A variant injection nested *depth* levels deep."""
+    value = {"atom": "int", "value": 1}
+    for _ in range(depth):
+        value = {"inl": value}
+    return value
+
+
+def nested_text(depth: int) -> str:
+    """A request frame whose value nests *depth* levels, as raw text."""
+    inner = '{"set": [' * depth + '{"atom": "int", "value": 1}' + "]}" * depth
+    return '{"id": 1, "program": "normalize", "value": ' + inner + "}"
+
+
 async def request_frames(address, frames, *, expect=None):
     """Send *frames* on one connection; responses keyed by ``id``."""
     reader, writer = await asyncio.open_connection(*address)
@@ -126,6 +140,31 @@ class TestFrames:
         assert responses[1]["code"] == "malformed"
         assert responses[2]["code"] == "malformed"
         assert raw[None]["code"] == "malformed"
+
+    def test_deeply_nested_value_is_malformed(self):
+        async def main():
+            async with NetServer(batch_window=0.001) as server:
+                responses = await request_frames(
+                    server.address,
+                    [
+                        {"id": 1, "program": "normalize", "value": nested_json(600)},
+                        {"id": 2, "program": "normalize", "value": orset_json(1)},
+                    ],
+                )
+                # Past what the JSON decoder itself will parse.
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(nested_text(5000).encode() + b"\n")
+                await writer.drain()
+                raw = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                return responses, raw
+
+        responses, raw = asyncio.run(main())
+        assert responses[1]["code"] == "malformed"
+        assert "deeper than" in responses[1]["error"]
+        assert responses[2]["result"] == run_json("normalize", orset_json(1))
+        assert raw["code"] == "malformed"
 
     def test_oversized_line_is_rejected_and_connection_dropped(self):
         async def main():
@@ -246,6 +285,20 @@ class TestHttp:
         assert missing[0] == 404
         assert bad[0] == 400 and bad[2]["code"] == "malformed"
         assert stats[0] == 200
+
+    def test_deeply_nested_body_is_a_400(self):
+        async def main():
+            async with NetServer(batch_window=0.001) as server:
+                return await http_request(
+                    server.address,
+                    "POST",
+                    "/run",
+                    {"program": "normalize", "value": nested_json(600)},
+                )
+
+        status, _headers, payload = asyncio.run(main())
+        assert status == 400
+        assert payload["code"] == "malformed"
 
 
 class TestWorkerMode:
