@@ -28,10 +28,11 @@ The single entry point is :func:`run` (or :meth:`Engine.run`)::
 The default ``backend="auto"`` picks the backend *per call* from the
 cost model (:mod:`repro.engine.cost_model`): the input's estimated world
 count and the plan's spine profile decide between eager execution, lazy
-streaming, estimate-proportional thread sharding and — when the estimate
-says the call is CPU-bound enough to amortize plan/value transport —
-true multiprocess sharding (:mod:`repro.engine.process`) — without
-building a single world (Section 6's bounds are computed statically).
+streaming, fused columnar kernels, symbolic world queries and — when
+each member of a wide spine carries enough estimated work to amortize
+plan/value transport — multiprocess sharding (:mod:`repro.engine.process`)
+— without building a single world (Section 6's bounds are computed
+statically).
 
 ``engine.run(p, v)`` is structurally equal to the direct interpretation
 ``p(v)`` for every program; the engine is the canonical execution path
@@ -224,7 +225,7 @@ class Engine:
 
         A supervised backend whose circuit breaker is open reports
         ``healthy() == False`` and is dropped from the candidate set, so
-        ``backend="auto"`` degrades around it (process → parallel) until
+        ``backend="auto"`` degrades around it (process → fused or eager) until
         the breaker half-opens and a probe heals it.  The process backend
         also reports unhealthy inside a daemonic process, where no pool
         may start.  Explicit ``backend="name"`` requests bypass this

@@ -9,7 +9,8 @@ structural traversal of the value combines
 * the compositional world-count recursion (union for or-sets, product
   for sets, bags and pairs — the argument behind Proposition 6.1),
 * Proposition 6.1's ``prod_i (m_i + 1)`` cap over the innermost or-set
-  arities (:func:`repro.values.measure.innermost_orset_arities`), and
+  arities (the ones :func:`repro.values.measure.innermost_orset_arities`
+  lists, gathered in the same walk), and
 * the Moon–Moser ``3^(n/3)`` ceiling of Theorem 6.2 for context in
   diagnostics (the recursion is already at least as tight, so only the
   first two enter the returned bound),
@@ -33,8 +34,8 @@ Three consumers sit on top of the estimator:
 * :func:`select_backend` picks the execution backend per call — eager
   for small estimated world counts, streaming when the estimate says the
   normal form is huge (existential consumers then short-circuit off the
-  lazy spine), parallel with estimate-proportional shard sizes when the
-  top-level spine is wide.
+  lazy spine), process when the top-level spine is wide and each member
+  carries enough estimated work to ship to a worker.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Collection
 
 from repro.core.costs import moon_moser
 from repro.lang.morphisms import Morphism
-from repro.values.measure import innermost_orset_arities
 from repro.values.values import (
     Atom,
     BagValue,
@@ -92,9 +92,7 @@ __all__ = [
     "SMALL_WORLDS",
     "WIDE_SPINE",
     "STREAM_NORM_SIZE",
-    "SHARD_TARGET_WORK",
-    "PROCESS_NORM_SIZE",
-    "PARALLEL_BREAK_EVEN_WORK",
+    "SHARD_BREAK_EVEN_WORK",
     "FUSED_MIN_SPINE",
 ]
 
@@ -121,21 +119,17 @@ WIDE_SPINE = 32
 #: run lazily rather than materialize canonical intermediates.
 STREAM_NORM_SIZE = 4096
 
-#: Target estimated leaf-work per parallel shard; the shard-count hint is
-#: the estimated total size divided by this, clamped to the spine width.
-SHARD_TARGET_WORK = 256
-
-#: Estimated total work past which a wide spine counts as *CPU-bound*:
-#: on GIL builds thread shards serialize, so once the per-call estimate
-#: amortizes plan transport and value pickling, the multiprocess backend
-#: wins.  Only consulted when a ``"process"`` backend is registered.
-PROCESS_NORM_SIZE = 1 << 16
-
-#: Estimated per-element work below which sharding a wide spine costs
-#: more than it buys (chunk bookkeeping and pool dispatch dominate, the
-#: 0.78x BENCH_parallel regression): below this, a wide flat spine runs
-#: as a fused columnar kernel instead of being split across workers.
-PARALLEL_BREAK_EVEN_WORK = 4
+#: Mean estimated work per top-level member (``ShapeEstimate.member_work``)
+#: below which sharding a wide spine costs more than it buys: pool
+#: dispatch and pickling each member (and its normal form) outweigh the
+#: work shipped.  At or past it a wide spine is CPU-bound and ``auto``
+#: ships it to the process pool; below it the spine runs in-thread
+#: (fused when it fuses, eager otherwise).  Set from sweeps of process
+#: against eager on a 2-CPU host: ``map(normalize)`` over wide sets of
+#: designs with 2^3..2^8 worlds each wins from member work 64 up, while
+#: ``map(alpha)`` over k-or-set tight families loses at 81 and wins from
+#: 324.  256 sits between.
+SHARD_BREAK_EVEN_WORK = 256
 
 #: Minimum top-level width for the fused columnar path: narrower
 #: collections never amortize the arena encode/decode.
@@ -151,7 +145,13 @@ class ShapeEstimate:
     the sizes of all conceptual possibilities);
     ``size``      — the paper's ``size(x)`` (atomic leaf count);
     ``width``     — top-level element count when *x* is a collection;
-    ``orsets``    — number of or-set nodes in ``T(x)``.
+    ``orsets``    — number of or-set nodes in ``T(x)``;
+    ``member_work`` — mean ``norm_size`` bound of the top-level members
+    when *x* is a non-empty collection (0 otherwise).  Section 6's bounds
+    compose: mapping a per-member query over a wide set costs the *sum*
+    of the members' costs, while ``norm_size`` bounds the whole value's
+    normal form, a *product* over the members — so per-member routing
+    decisions read this, never ``norm_size / width``.
     """
 
     worlds: int
@@ -159,6 +159,7 @@ class ShapeEstimate:
     size: int
     width: int | None = None
     orsets: int = 0
+    member_work: int = 0
 
     @property
     def moon_moser_cap(self) -> int:
@@ -166,50 +167,64 @@ class ShapeEstimate:
         return moon_moser(self.size)
 
 
-def _estimate(v: Value) -> tuple[int, int, int, int]:
-    """(worlds, norm_size, size, orsets) for *v*, compositionally.
+def _estimate(v: Value) -> tuple[int, int, int, int, int, int]:
+    """(worlds, norm_size, size, orsets, member_norm, cap) for *v*.
 
     The recursion mirrors how possibilities are generated: an or-set's
     worlds are the union of its elements' worlds (``<=`` the sum), a
     set/bag/pair takes one world per component (``<=`` the product);
     deduplication only ever shrinks, so every case is an upper bound.
+    ``member_norm`` is the sum of a collection's members' ``norm_size``
+    bounds (0 for anything else); only the top level reads it.  ``cap``
+    is Proposition 6.1's ``prod_i (m_i + 1)`` over the innermost or-sets
+    (those with no or-set below them) of *v*.
     """
     if isinstance(v, (Atom, UnitValue)):
-        return 1, 1, 1, 0
+        return 1, 1, 1, 0, 0, 1
     if isinstance(v, Pair):
-        wa, na, sa, oa = _estimate(v.fst)
-        wb, nb, sb, ob = _estimate(v.snd)
+        wa, na, sa, oa, _, ca = _estimate(v.fst)
+        wb, nb, sb, ob, _, cb = _estimate(v.snd)
         # Each world of the pair is a pair of component worlds, so its
         # size is the sum of the component-world sizes: summed over all
         # wa*wb combinations that is wb*na + wa*nb.
-        return wa * wb, wb * na + wa * nb, sa + sb, oa + ob
+        return wa * wb, wb * na + wa * nb, sa + sb, oa + ob, 0, ca * cb
     if isinstance(v, Variant):
-        w, n, s, o = _estimate(v.payload)
-        return w, n, s, o
+        w, n, s, o, _, c = _estimate(v.payload)
+        return w, n, s, o, 0, c
     if isinstance(v, OrSetValue):
         worlds = norm = size = orsets = 0
+        cap = 1
         for e in v.elems:
-            w, n, s, o = _estimate(e)
+            w, n, s, o, _, c = _estimate(e)
             worlds += w
             norm += n
             size += s
             orsets += o
-        return worlds, norm, size, 1 + orsets
+            cap *= c
+        if not orsets:  # innermost: its own arity enters the cap
+            cap = len(v.elems) + 1
+        return worlds, norm, size, 1 + orsets, norm, cap
     if isinstance(v, (SetValue, BagValue)):
-        worlds, size, orsets = 1, 0, 0
-        parts: list[tuple[int, int]] = []
+        worlds, size, orsets, members, cap = 1, 0, 0, 0, 1
+        # Members with equal (worlds, norm) bounds contribute alike, so
+        # group them: a wide uniform set costs one big-int term, not one
+        # per member.
+        parts: dict[tuple[int, int], int] = {}
         for e in v.elems:
-            w, n, s, o = _estimate(e)
-            parts.append((w, n))
+            w, n, s, o, _, c = _estimate(e)
+            key = (w, n)
+            parts[key] = parts.get(key, 0) + 1
             worlds *= w
             size += s
             orsets += o
+            members += n
+            cap *= c
         if worlds == 0:
-            return 0, 0, size, orsets
+            return 0, 0, size, orsets, members, cap
         # One world per element: summed over all combinations, element i
         # contributes its world sizes once per choice of the others.
-        norm = sum(n * (worlds // w) for w, n in parts)
-        return worlds, norm, size, orsets
+        norm = sum(k * n * (worlds // w) for (w, n), k in parts.items())
+        return worlds, norm, size, orsets, members, cap
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -218,17 +233,18 @@ def estimate_value(v: Value) -> ShapeEstimate:
 
     The compositional recursion is capped with Proposition 6.1's
     ``prod_i (m_i + 1)`` over the innermost or-set arities (both are
-    sound, so their minimum is).
+    sound, so their minimum is).  The same walk yields the cap and the
+    per-member work of a collection (``ShapeEstimate.member_work``).
     """
-    worlds, norm, size, orsets = _estimate(v)
-    if orsets:
-        cap = 1
-        for m_i in innermost_orset_arities(v):
-            cap *= m_i + 1
-        if cap < worlds:
-            worlds = cap
-    width = len(v.elems) if isinstance(v, (SetValue, OrSetValue, BagValue)) else None
-    return ShapeEstimate(worlds, norm, size, width, orsets)
+    worlds, norm, size, orsets, members, cap = _estimate(v)
+    if orsets and cap < worlds:
+        worlds = cap
+    if isinstance(v, (SetValue, OrSetValue, BagValue)):
+        width: int | None = len(v.elems)
+        member_work = members // width if width else 0
+    else:
+        width, member_work = None, 0
+    return ShapeEstimate(worlds, norm, size, width, orsets, member_work)
 
 
 def estimate_m_value(v: Value) -> int:
@@ -579,8 +595,8 @@ def select_backend(
     world_query: bool = False,
     available: "Collection[str] | None" = None,
 ) -> BackendChoice:
-    """Pick the backend — eager/streaming/parallel/process/fused/symbolic —
-    for this (plan, value) call.
+    """Pick the backend — eager/streaming/process/fused/symbolic — for
+    this (plan, value) call.
 
     * **small** estimated world count → ``eager`` (closure execution and
       maximal memo reuse win outright);
@@ -594,17 +610,15 @@ def select_backend(
     * **existential** consumers over a huge estimated world count →
       ``streaming`` (the first witness comes off the lazy spine before
       any normal form is materialized);
-    * **wide** top-level collection whose estimated per-element work is
-      below :data:`PARALLEL_BREAK_EVEN_WORK` → ``fused`` when the spine
-      has a fusible run at least :data:`FUSED_MIN_SPINE` wide (one
-      columnar kernel instead of shards that lose to eager), ``eager``
-      otherwise;
-    * **wide** top-level collection under a streamable spine whose
-      estimated total work amortizes process transport
-      (:data:`PROCESS_NORM_SIZE`) → ``process`` (true CPU parallelism);
-    * **wide** top-level collection under a streamable spine →
-      ``parallel``, with a shard-count hint proportional to the
-      estimated total work (:data:`SHARD_TARGET_WORK` per shard);
+    * **wide** top-level collection under a spine ``map`` whose mean
+      estimated work per member (``ShapeEstimate.member_work``) reaches
+      :data:`SHARD_BREAK_EVEN_WORK` → ``process`` (true CPU parallelism),
+      with a hint of one shard per member, at most 32;
+    * any other **wide** spine → ``fused`` when the spine has a fusible
+      run at least :data:`FUSED_MIN_SPINE` wide (one columnar kernel),
+      ``eager`` otherwise.  The thread-pool ``parallel`` backend is never
+      chosen: on GIL builds its shards serialize, so it only adds
+      dispatch to what fused or eager do in one thread;
     * a streamable spine whose estimated normal form is large →
       ``streaming`` (skip canonicalizing big intermediates);
     * anything else → ``eager``.
@@ -617,7 +631,7 @@ def select_backend(
     est = estimate_value(value)
     profile = plan_profile(plan)
     names = (
-        ("eager", "streaming", "parallel", "fused", "symbolic")
+        ("eager", "streaming", "fused", "symbolic")
         if available is None
         else available
     )
@@ -645,40 +659,32 @@ def select_backend(
     if est.worlds <= SMALL_WORLDS and (est.width or 0) < WIDE_SPINE:
         return BackendChoice("eager", f"small (~{est.worlds} estimated worlds)")
     if profile.spine_maps >= 1 and est.width is not None and est.width >= WIDE_SPINE:
-        shards = max(2, min(est.width, est.norm_size // SHARD_TARGET_WORK or 2))
-        elem_work = est.norm_size // max(1, est.width)
-        if elem_work < PARALLEL_BREAK_EVEN_WORK:
-            # Sharding below the break-even loses to eager (pool dispatch
-            # swamps the per-element work); a fused columnar kernel still
-            # wins by skipping per-element boxing and dispatch entirely.
-            if (
-                profile.fused_stages >= 1
-                and est.width >= FUSED_MIN_SPINE
-                and "fused" in names
-            ):
-                return BackendChoice(
-                    "fused",
-                    f"wide flat spine ({est.width} elements, ~{elem_work} "
-                    "estimated work/element) runs as a fused columnar kernel",
-                )
-            return BackendChoice(
-                "eager",
-                f"wide spine below the sharding break-even (~{elem_work} "
-                f"estimated work/element < {PARALLEL_BREAK_EVEN_WORK})",
-            )
-        if "process" in names and est.norm_size >= PROCESS_NORM_SIZE:
+        work = est.member_work
+        if work >= SHARD_BREAK_EVEN_WORK and "process" in names:
             return BackendChoice(
                 "process",
-                f"CPU-bound wide spine ({est.width} elements, "
-                f"~{est.norm_size} estimated work amortizes process transport)",
-                shards=min(shards, 32),
+                f"CPU-bound wide spine ({est.width} members, ~{work} "
+                "estimated work/member amortizes process transport)",
+                shards=min(est.width, 32),
             )
-        if "parallel" in names:
+        # Below the break-even, shipping members to workers costs more
+        # than the work it distributes: stay in this thread, as one
+        # fused columnar kernel when the spine fuses.
+        if (
+            profile.fused_stages >= 1
+            and est.width >= FUSED_MIN_SPINE
+            and "fused" in names
+        ):
             return BackendChoice(
-                "parallel",
-                f"wide spine ({est.width} elements, ~{est.norm_size} estimated work)",
-                shards=shards,
+                "fused",
+                f"wide spine ({est.width} members, ~{work} estimated "
+                "work/member) runs as a fused columnar kernel",
             )
+        return BackendChoice(
+            "eager",
+            f"wide spine ({est.width} members, ~{work} estimated "
+            "work/member) runs in-thread",
+        )
     if (
         profile.spine_stages >= 2
         and est.norm_size > STREAM_NORM_SIZE

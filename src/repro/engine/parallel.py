@@ -59,7 +59,7 @@ from repro.values.values import Value
 
 from repro.engine.backends import _MU, _RETAG, _WRAPPER_OF, BACKENDS, Backend
 from repro.engine.columnar import Arena, compile_stages, encode_input, run_stages
-from repro.engine.cost_model import PARALLEL_BREAK_EVEN_WORK, estimate_value
+from repro.engine.cost_model import SHARD_BREAK_EVEN_WORK, estimate_value
 from repro.engine.deadline import checkpoint
 from repro.engine.interning import Interner
 from repro.engine.plan import MAP_KINDS, Plan, PlanNode
@@ -174,7 +174,11 @@ class ShardedBackend(Backend):
     a ``map`` stage's compiled body reaches the workers — the process
     backend ships the plan instead of a closure).  *min_shard* is the
     smallest collection worth splitting — anything shorter runs as a
-    single inline shard.
+    single inline shard.  *break_even_work* is the mean estimated work
+    per top-level member of the input
+    (:attr:`~repro.engine.cost_model.ShapeEstimate.member_work`, the
+    quantity ``auto`` routes on) below which the spine also stays one
+    inline shard; 0 disables the gate.
     """
 
     name = "sharded"
@@ -187,7 +191,7 @@ class ShardedBackend(Backend):
     ) -> None:
         self.max_workers = max_workers if max_workers is not None else default_worker_count()
         self.min_shard = max(1, min_shard)
-        # Estimated per-element work below which sharding costs more than
+        # Estimated per-member work below which sharding costs more than
         # it buys; 0 disables the gate (shard whenever wide enough).
         self.break_even_work = max(0, break_even_work)
 
@@ -261,7 +265,7 @@ class ShardedBackend(Backend):
         if self.break_even_work:
             est = estimate_value(value)
             if est.width:
-                elem_work = est.norm_size // max(1, est.width)
+                elem_work = est.member_work
         leaf = interner.leaf_apply if interner is not None else None
         result = self._eval(plan, plan.root, value, leaf, {}, shard_hint, elem_work)
         return _materialize(result)
@@ -424,7 +428,7 @@ class ParallelBackend(ShardedBackend):
         self,
         max_workers: int | None = None,
         min_shard: int = 4,
-        break_even_work: int = PARALLEL_BREAK_EVEN_WORK,
+        break_even_work: int = SHARD_BREAK_EVEN_WORK,
     ) -> None:
         super().__init__(
             max_workers=max_workers,

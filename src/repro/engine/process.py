@@ -47,20 +47,24 @@ entry points.
 The backend registers itself as ``BACKENDS["process"]``;
 ``backend="auto"`` reaches it through
 :func:`repro.engine.cost_model.select_backend` when the static estimate
-says the plan is CPU-bound enough to amortize process transport
-(``PROCESS_NORM_SIZE``).  :meth:`ProcessBackend.run_values` is the batch
-hook ``Engine.run_many`` uses to fan *whole inputs* across workers —
-one task per input chunk, each evaluated start-to-finish in a worker.
+says each member of a wide spine carries enough work to amortize
+process transport (``SHARD_BREAK_EVEN_WORK``).
+:meth:`ProcessBackend.run_values` is the batch hook ``Engine.run_many``
+uses to fan *whole inputs* across workers — one task per input chunk,
+each evaluated start-to-finish in a worker.  The worker tasks pause the
+cyclic collector while they run (:mod:`repro.engine.gcpause`).
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import multiprocessing
 import os
 import pickle
 import threading
+import weakref
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from itertools import repeat
@@ -75,6 +79,7 @@ from repro.engine.backends import BACKENDS
 from repro.engine.columnar import Arena, compile_stages, run_stages
 from repro.engine.deadline import current_deadline
 from repro.engine.faults import InjectedFault
+from repro.engine.gcpause import gc_paused
 from repro.engine.interning import Interner
 from repro.engine.parallel import ShardedBackend, even_chunks, even_ranges
 from repro.engine.plan import Plan, PlanNode
@@ -94,6 +99,23 @@ _MAX_WORKER_PLANS = 128
 def default_process_count() -> int:
     """Default worker-process count: the machine's cores, bounded."""
     return max(1, min(16, os.cpu_count() or 1))
+
+
+#: Every live backend, so interpreter exit can shut their pools down.
+_LIVE_BACKENDS: "weakref.WeakSet[ProcessBackend]" = weakref.WeakSet()
+
+
+@atexit.register
+def _close_live_backends() -> None:
+    """Shut every pool down while the interpreter is still whole.
+
+    A pool left to module teardown is collected after the
+    :mod:`concurrent.futures` globals are gone, and its manager's
+    weakref callback fails noisily (``Exception ignored in ...
+    weakref_cb``).
+    """
+    for backend in list(_LIVE_BACKENDS):
+        backend.close()
 
 
 def _pool_allowed() -> bool:
@@ -172,14 +194,15 @@ def _run_chunk_remote(
     memoized normalization within the worker.
     """
     faults.fire("process.worker_chunk")
-    state, key, plan = _worker_plan(payload)
-    idx = plan.root if body_idx is None else body_idx
-    interner: Interner = state["interner"]
-    fn = state["bound"].get((key, idx))
-    if fn is None:
-        fn = _bind_subtree(plan, idx, interner.leaf_apply)
-        state["bound"][(key, idx)] = fn
-    return [fn(interner.intern(e)) for e in chunk]
+    with gc_paused():
+        state, key, plan = _worker_plan(payload)
+        idx = plan.root if body_idx is None else body_idx
+        interner: Interner = state["interner"]
+        fn = state["bound"].get((key, idx))
+        if fn is None:
+            fn = _bind_subtree(plan, idx, interner.leaf_apply)
+            state["bound"][(key, idx)] = fn
+        return [fn(interner.intern(e)) for e in chunk]
 
 
 def _run_fused_slice_remote(
@@ -193,17 +216,18 @@ def _run_fused_slice_remote(
     cached per (plan, node) like the bound closures.
     """
     faults.fire("process.worker_fused")
-    state, key, plan = _worker_plan(payload)
-    interner: Interner = state["interner"]
-    stages = state["bound"].get((key, node_idx, "fused"))
-    if stages is None:
-        stages = compile_stages(
-            plan.nodes[node_idx],
-            functools.partial(_bind_body, plan, interner),
-        )
-        state["bound"][(key, node_idx, "fused")] = stages
-    out = run_stages(stages, Arena(kind, bases, raws))
-    return out.kind, out.bases, out.raws
+    with gc_paused():
+        state, key, plan = _worker_plan(payload)
+        interner: Interner = state["interner"]
+        stages = state["bound"].get((key, node_idx, "fused"))
+        if stages is None:
+            stages = compile_stages(
+                plan.nodes[node_idx],
+                functools.partial(_bind_body, plan, interner),
+            )
+            state["bound"][(key, node_idx, "fused")] = stages
+        out = run_stages(stages, Arena(kind, bases, raws))
+        return out.kind, out.bases, out.raws
 
 
 def _worker_ping(_i: int) -> int:
@@ -259,6 +283,7 @@ class ProcessBackend(ShardedBackend):
         self.pickle_fallbacks = 0
         self.pool_fallbacks = 0
         self.pool_restarts = 0
+        _LIVE_BACKENDS.add(self)
 
     # -- pool --------------------------------------------------------------
 

@@ -10,6 +10,11 @@ JSON encoding: atoms become ``{"atom": base, "value": v}``; pairs
 ``{"pair": [a, b]}``; sets ``{"set": [...]}``; or-sets ``{"orset": [...]}``;
 bags ``{"bag": [...]}``; unit ``{"unit": true}``; variant injections
 ``{"inl": ...}`` / ``{"inr": ...}``.
+
+The query entry points (``run_*``, ``count_worlds_*``, ``certain_*``)
+hold :func:`repro.engine.gcpause.gc_paused` from decode to encode: the
+values they build are acyclic, so the cyclic collector's passes over
+them are pure overhead.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
+from repro.engine.gcpause import gc_paused
 from repro.errors import OrNRAValueError
 from repro.types.kinds import Type
 from repro.types.parse import format_type, parse_type
@@ -262,14 +268,15 @@ def run_text(
     from repro.engine import run
     from repro.lang.parser import parse_value
 
-    with _deadline_scope(timeout):
-        result = run(
-            parsed_morphism(morphism_text),
-            parse_value(value_text),
-            backend=backend,
-            intern=False,
-        )
-    return format_value(result)
+    with gc_paused():
+        with _deadline_scope(timeout):
+            result = run(
+                parsed_morphism(morphism_text),
+                parse_value(value_text),
+                backend=backend,
+                intern=False,
+            )
+        return format_value(result)
 
 
 def run_json(
@@ -286,14 +293,15 @@ def run_json(
     """
     from repro.engine import run
 
-    with _deadline_scope(timeout):
-        result = run(
-            parsed_morphism(morphism_text),
-            value_from_json(value_json),
-            backend=backend,
-            intern=False,
-        )
-    return value_to_json(result)
+    with gc_paused():
+        with _deadline_scope(timeout):
+            result = run(
+                parsed_morphism(morphism_text),
+                value_from_json(value_json),
+                backend=backend,
+                intern=False,
+            )
+        return value_to_json(result)
 
 
 def count_worlds_text(
@@ -313,12 +321,13 @@ def count_worlds_text(
     from repro.engine import count_worlds
     from repro.lang.parser import parse_value
 
-    return count_worlds(
-        parsed_morphism(morphism_text),
-        parse_value(value_text),
-        backend=backend,
-        intern=False,
-    )
+    with gc_paused():
+        return count_worlds(
+            parsed_morphism(morphism_text),
+            parse_value(value_text),
+            backend=backend,
+            intern=False,
+        )
 
 
 def count_worlds_json(
@@ -327,12 +336,13 @@ def count_worlds_json(
     """:func:`count_worlds_text` over the JSON value encoding."""
     from repro.engine import count_worlds
 
-    return count_worlds(
-        parsed_morphism(morphism_text),
-        value_from_json(value_json),
-        backend=backend,
-        intern=False,
-    )
+    with gc_paused():
+        return count_worlds(
+            parsed_morphism(morphism_text),
+            value_from_json(value_json),
+            backend=backend,
+            intern=False,
+        )
 
 
 def certain_text(morphism_text: str, value_text: str, backend: str = "auto") -> str:
@@ -345,13 +355,14 @@ def certain_text(morphism_text: str, value_text: str, backend: str = "auto") -> 
     from repro.engine import certain
     from repro.lang.parser import parse_value
 
-    result = certain(
-        parsed_morphism(morphism_text),
-        parse_value(value_text),
-        backend=backend,
-        intern=False,
-    )
-    return format_value(result)
+    with gc_paused():
+        result = certain(
+            parsed_morphism(morphism_text),
+            parse_value(value_text),
+            backend=backend,
+            intern=False,
+        )
+        return format_value(result)
 
 
 def certain_json(
@@ -360,13 +371,14 @@ def certain_json(
     """:func:`certain_text` over the JSON value encoding."""
     from repro.engine import certain
 
-    result = certain(
-        parsed_morphism(morphism_text),
-        value_from_json(value_json),
-        backend=backend,
-        intern=False,
-    )
-    return value_to_json(result)
+    with gc_paused():
+        result = certain(
+            parsed_morphism(morphism_text),
+            value_from_json(value_json),
+            backend=backend,
+            intern=False,
+        )
+        return value_to_json(result)
 
 
 def run_text_many(
@@ -389,15 +401,16 @@ def run_text_many(
     from repro.engine import DEFAULT_ENGINE, Interner
     from repro.lang.parser import parse_value
 
-    with _deadline_scope(timeout):
-        results = DEFAULT_ENGINE.run_many(
-            parsed_morphism(morphism_text),
-            [parse_value(text) for text in value_texts],
-            backend=backend,
-            interner=Interner(),
-            max_workers=max_workers,
-        )
-    return [format_value(r) for r in results]
+    with gc_paused():
+        with _deadline_scope(timeout):
+            results = DEFAULT_ENGINE.run_many(
+                parsed_morphism(morphism_text),
+                [parse_value(text) for text in value_texts],
+                backend=backend,
+                interner=Interner(),
+                max_workers=max_workers,
+            )
+        return [format_value(r) for r in results]
 
 
 def run_json_many(
@@ -425,12 +438,13 @@ def run_json_many(
     """
     from repro.engine import DEFAULT_ENGINE, Interner
 
-    with _deadline_scope(timeout):
-        results = DEFAULT_ENGINE.run_many(
-            parsed_morphism(morphism_text),
-            [value_from_json(v) for v in values_json],
-            backend=backend,
-            interner=Interner(),
-            max_workers=max_workers,
-        )
-    return [value_to_json(r) for r in results]
+    with gc_paused():
+        with _deadline_scope(timeout):
+            results = DEFAULT_ENGINE.run_many(
+                parsed_morphism(morphism_text),
+                [value_from_json(v) for v in values_json],
+                backend=backend,
+                interner=Interner(),
+                max_workers=max_workers,
+            )
+        return [value_to_json(r) for r in results]

@@ -262,6 +262,7 @@ class NetServer:
             "http_requests": 0,
             "rate_limited": 0,
             "oversized": 0,
+            "malformed": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -320,6 +321,12 @@ class NetServer:
         await self.close()
 
     # -- request processing ------------------------------------------------
+
+    def _count_malformed(self, payload: dict) -> None:
+        # Undecodable or too-deep frames are refused before they count
+        # as frames; this is where they show up in stats.
+        if payload.get("code") == "malformed":
+            self._counters["malformed"] += 1
 
     def _admit_client(self, key: str) -> None:
         if self._limiter is None:
@@ -457,6 +464,7 @@ class NetServer:
             payload = await self._process(request)
         except Exception as exc:  # noqa: BLE001 — every error goes to the client
             payload = error_frame(exc)
+        self._count_malformed(payload)
         if request_id is not None:
             payload = dict(payload)
             payload["id"] = request_id
@@ -478,6 +486,7 @@ class NetServer:
         length = int(headers.get("content-length") or 0)
         body = await reader.readexactly(length) if length > 0 else b""
         status, payload = await self._http_dispatch(method, path, body, key)
+        self._count_malformed(payload)
         blob = json.dumps(payload, sort_keys=True).encode()
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

@@ -51,7 +51,7 @@ and wedged threads:
   with the exact engine count, but near-deadline falls back to the
   static Section 6 *upper bound* marked ``"approximate": true``
   (``stats()["degraded"]``); deeper in the stack the process pool's
-  circuit breaker demotes ``backend="auto"`` routing process → parallel
+  circuit breaker demotes ``backend="auto"`` routing process → fused or eager
   (``stats()["breaker_open"]``).
 
 Failure isolation: if a batch evaluation fails (one malformed input,
@@ -647,7 +647,7 @@ class AsyncEngine:
         Alongside the counter snapshot: ``pending`` (admitted futures
         not yet resolved — the backpressure gauge) and ``breaker_open``
         (is the process pool's circuit breaker currently refusing
-        traffic, i.e. has ``backend="auto"`` demoted process → parallel).
+        traffic, i.e. has ``backend="auto"`` demoted process → fused or eager).
         """
         from repro.engine import BACKENDS
 

@@ -35,11 +35,13 @@ from repro.engine.passes import (
 from repro.engine.plan import compile_plan
 from repro.gen import random_orset_value
 from repro.lang.morphisms import Compose, Cond, Id, Proj1, Proj2
-from repro.lang.orset_ops import OrMap, OrMu, OrToSet, SetToOr
+from repro.lang.orset_ops import Alpha, OrMap, OrMu, OrToSet, SetToOr
 from repro.lang.set_ops import SetMap, SetMu
 from repro.morphgen import random_lossless_morphism
 from repro.types.parse import parse_type
 from repro.values.values import vorset, vpair, vset
+
+from tests.strategies import cpu_bound_designs
 
 
 class TestEstimatorSoundness:
@@ -155,12 +157,46 @@ class TestBackendSelection:
         choice = select_backend(plan, x, existential=True)
         assert choice.backend == "streaming"
 
-    def test_wide_spine_goes_parallel_with_shard_hint(self):
-        x, _t = tight_family(WIDE_SPINE + 8)
-        plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
-        choice = select_backend(plan, x)
-        assert choice.backend == "parallel"
+    def test_cpu_bound_wide_spine_gets_a_shard_hint(self):
+        x = cpu_bound_designs(WIDE_SPINE + 8)
+        plan = compile_plan(SetMap(Normalize()))
+        choice = select_backend(plan, x, available={"eager", "fused", "process"})
+        assert choice.backend == "process"
         assert choice.shards is not None and 2 <= choice.shards <= WIDE_SPINE + 8
+
+    def test_member_work_is_per_member_not_per_product(self):
+        # Section 6's bounds compose: normalizing each member of a wide
+        # set costs the sum of the members' sizes, while norm_size bounds
+        # the product over all of them.
+        x, _t = tight_family(WIDE_SPINE + 8)
+        est = estimate_value(x)
+        assert est.member_work == 3
+        assert est.norm_size // est.width > 3**WIDE_SPINE
+        assert estimate_value(cpu_bound_designs(WIDE_SPINE + 8)).member_work == 896
+        assert estimate_value(vorset(1, 2)).member_work == 1
+        assert estimate_value(vpair(1, 2)).member_work == 0
+
+    def test_cheap_member_wide_spines_stay_in_thread(self):
+        # Cheap members never pay process transport, and auto never
+        # picks the GIL-bound thread pool; answers still equal eager.
+        eng = Engine()
+        family, _t = tight_family(WIDE_SPINE + 8)
+        nested = vset(
+            *(
+                vset(vorset(3 * i, 3 * i + 1, 3 * i + 2), vorset(-i, -i - 1))
+                for i in range(WIDE_SPINE + 8)
+            )
+        )
+        for program, x in (
+            (Compose(SetMu(), SetMap(OrToSet())), family),
+            (SetMap(Normalize()), family),
+            (SetMap(Alpha()), nested),
+        ):
+            choice = eng.choose_backend(program, x)
+            assert choice.backend in ("fused", "eager"), (program.describe(), choice)
+            assert eng.run(program, x, intern=False) == eng.run(
+                program, x, backend="eager", intern=False
+            )
 
     def test_profile_counts_spine_stages(self):
         plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))

@@ -4,7 +4,7 @@ Conformance with the other backends is covered by
 ``test_backend_conformance.py``; here we pin the process-specific
 machinery — pickle-safe plan transport with worker-side caching, the
 ``run_values`` batch hook behind ``Engine.run_many``, graceful
-degradation on unpicklable plans, and the cost model's process-vs-thread
+degradation on unpicklable plans, and the cost model's process-vs-in-thread
 decision.
 """
 
@@ -25,6 +25,8 @@ from repro.lang.primitives import plus, predicate
 from repro.lang.set_ops import SetMap, SetMu
 from repro.types.kinds import INT
 from repro.values.values import vorset, vset
+
+from tests.strategies import cpu_bound_designs
 
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 
@@ -179,28 +181,38 @@ class TestGracefulDegradation:
 
 
 class TestSelection:
+    # map(normalize) over wide sets of 2^6-world designs: each member
+    # carries enough work to amortize process transport.
+    CPU_BOUND = SetMap(Normalize())
+
     def test_cpu_bound_wide_spine_selects_process(self):
-        x, _t = tight_family(WIDE_SPINE + 8)
-        plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
+        x = cpu_bound_designs(WIDE_SPINE + 8)
+        plan = compile_plan(self.CPU_BOUND)
         choice = select_backend(plan, x, available={"eager", "parallel", "process"})
         assert choice.backend == "process"
         assert choice.shards is not None
         assert "CPU-bound" in choice.reason
 
     def test_direct_callers_never_get_process_by_default(self):
-        # select_backend without `available` keeps the pre-process
-        # contract: eager/streaming/parallel only.
-        x, _t = tight_family(WIDE_SPINE + 8)
-        plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
+        # select_backend without `available` keeps the in-thread
+        # contract: never process, and never the GIL-bound thread pool.
+        x = cpu_bound_designs(WIDE_SPINE + 8)
+        plan = compile_plan(self.CPU_BOUND)
         choice = select_backend(plan, x)
-        assert choice.backend == "parallel"
+        assert choice.backend in ("eager", "fused")
 
     def test_engine_auto_reaches_process(self):
         eng = Engine()
-        x, _t = tight_family(WIDE_SPINE + 8)
-        choice = eng.choose_backend(Compose(SetMu(), SetMap(OrToSet())), x)
+        x = cpu_bound_designs(WIDE_SPINE + 8)
+        choice = eng.choose_backend(self.CPU_BOUND, x)
         assert choice.backend == "process"
         assert "CPU-bound" in choice.reason
+
+    def test_auto_routes_bench_serve_designs_to_process(self):
+        # The recorded workload where process wins (BENCH_serve's
+        # process-vs-thread-sharding input: 48 designs of 2^8 worlds).
+        eng = Engine()
+        assert eng.choose_backend(self.CPU_BOUND, cpu_bound_designs(48, 8)).backend == "process"
 
     def test_small_inputs_still_eager(self):
         eng = Engine()
@@ -218,3 +230,47 @@ class TestSelection:
             assert choice.backend in names
         choice = select_backend(plan, x, existential=True, available={"eager"})
         assert choice.backend == "eager"
+
+
+class TestInterpreterExit:
+    # One backend="process" op that really crosses the pool, from the
+    # global backend and from a caller-owned one left open.
+    SCRIPT = """
+from repro import engine, vorset, vset
+from repro.engine import BACKENDS, Engine, ProcessBackend
+from repro.lang.parser import parse_morphism
+
+x = vset(*(vorset(i, i + 1000) for i in range(64)))
+q = parse_morphism("map(normalize)")
+engine.run(q, x, backend="process")
+OWNED = Engine()
+OWNED.backends["process"] = ProcessBackend(max_workers=2, min_shard=2)
+OWNED.run(q, x, backend="process")
+assert BACKENDS["process"].stats()["remote_chunks"] > 0
+"""
+
+    def test_exit_shuts_the_pools_down_quietly(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_exit_hook_closes_every_live_backend(self, monkeypatch):
+        import weakref
+
+        from repro.engine import process
+
+        # Only this test's backend: the suite's shared pools stay warm.
+        monkeypatch.setattr(process, "_LIVE_BACKENDS", weakref.WeakSet())
+        backend = ProcessBackend(max_workers=2, min_shard=2)
+        backend.warm()
+        assert backend._pool is not None
+        process._close_live_backends()
+        assert backend._pool is None

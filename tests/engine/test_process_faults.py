@@ -35,9 +35,8 @@ from repro.engine.faults import FaultPlan, FaultRule, InjectedFault
 from repro.engine.process import _worker_ping
 from repro.errors import DeadlineExceeded
 from repro.lang.morphisms import Compose, Id, PairOf
-from repro.lang.orset_ops import OrToSet
 from repro.lang.primitives import plus, predicate
-from repro.lang.set_ops import SetMap, SetMu
+from repro.lang.set_ops import SetMap
 from repro.types.kinds import INT
 from repro.values.values import vset
 
@@ -221,7 +220,9 @@ class TestPoolCannotStart:
 
 class TestCircuitBreaker:
     def test_open_breaker_demotes_the_backend_from_auto(self):
-        from repro.core.costs import tight_family
+        from repro.core.normalize import Normalize
+
+        from tests.strategies import cpu_bound_designs
 
         clock = FakeClock()
         backend = fast_backend(
@@ -229,8 +230,8 @@ class TestCircuitBreaker:
         )
         eng = Engine()
         eng.backends["process"] = backend
-        x, _t = tight_family(WIDE_SPINE + 8)
-        program = Compose(SetMu(), SetMap(OrToSet()))
+        x = cpu_bound_designs(WIDE_SPINE + 8)
+        program = SetMap(Normalize())
         try:
             assert eng.choose_backend(program, x).backend == "process"
             backend.breaker.record_failure()

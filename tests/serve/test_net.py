@@ -166,6 +166,30 @@ class TestFrames:
         assert responses[2]["result"] == run_json("normalize", orset_json(1))
         assert raw["code"] == "malformed"
 
+    def test_frames_refused_at_decode_are_counted_malformed(self):
+        async def main():
+            async with NetServer(batch_window=0.001) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                for text in ("not json at all", nested_text(5000)):
+                    writer.write(text.encode() + b"\n")
+                    await writer.drain()
+                    refused = json.loads(await reader.readline())
+                    assert refused["code"] == "malformed"
+                writer.close()
+                await writer.wait_closed()
+                stats = await request_frames(
+                    server.address,
+                    [
+                        {"id": 1, "program": "normalize", "value": orset_json(1)},
+                        {"id": 2, "op": "stats"},
+                    ],
+                )
+                return stats[2]["stats"]["net"]
+
+        net = asyncio.run(main())
+        assert net["malformed"] == 2
+        assert net["frames"] == 2  # the good frame and the stats frame
+
     def test_oversized_line_is_rejected_and_connection_dropped(self):
         async def main():
             async with NetServer(batch_window=0.001, max_line=256) as server:
@@ -299,6 +323,30 @@ class TestHttp:
         status, _headers, payload = asyncio.run(main())
         assert status == 400
         assert payload["code"] == "malformed"
+
+
+    def test_undecodable_bodies_are_counted_malformed(self):
+        async def main():
+            async with NetServer(batch_window=0.001) as server:
+                statuses = []
+                for body in (b"not json at all", nested_text(5000).encode()):
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    head = (
+                        "POST /run HTTP/1.1\r\n"
+                        f"Host: test\r\nContent-Length: {len(body)}\r\n\r\n"
+                    )
+                    writer.write(head.encode() + body)
+                    await writer.drain()
+                    statuses.append(int((await reader.readline()).split()[1]))
+                    writer.close()
+                    await writer.wait_closed()
+                stats = await http_request(server.address, "GET", "/stats")
+                return statuses, stats[2]["stats"]["net"]
+
+        statuses, net = asyncio.run(main())
+        assert statuses == [400, 400]
+        assert net["malformed"] == 2
+        assert net["http_requests"] == 0
 
 
 class TestWorkerMode:

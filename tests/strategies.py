@@ -24,6 +24,9 @@ from repro.values.values import (
     SetValue,
     Value,
     boolean,
+    vorset,
+    vpair,
+    vset,
 )
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "value_of",
     "typed_values",
     "typed_orset_values",
+    "cpu_bound_designs",
 ]
 
 base_types = st.sampled_from([INT, BOOL])
@@ -109,3 +113,19 @@ def typed_orset_values(
     return orset_types(max_depth).flatmap(
         lambda t: st.tuples(value_of(t, max_width, min_width), st.just(t))
     )
+
+
+def cpu_bound_designs(members: int, width: int = 6) -> Value:
+    """A set of *members* independent designs with ``2^width`` worlds each.
+
+    The shape of ``benchmarks/bench_serve.py``'s CPU-bound input: under
+    ``map(normalize)`` every member carries real work, so this is the
+    wide spine ``backend="auto"`` ships to the process pool.
+    """
+
+    def design(m: int) -> Value:
+        base = 1000 * m
+        choices = (vorset(base + 10 * i, base + 10 * i + 5) for i in range(1, width + 1))
+        return vpair(vset(*choices), vorset(1, 2))
+
+    return vset(*(design(m) for m in range(members)))
