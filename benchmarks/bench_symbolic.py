@@ -14,7 +14,8 @@ family):
 * **beyond-enumeration** — the same query at ``k = 19`` (3^19 ~ 1.16e9
   worlds, past the 10^9 acceptance bar, unreachable for enumeration):
   records that the exact count comes back in milliseconds and equals
-  3^19, and that ``exists``/``certain`` answer at the same scale.
+  3^19, and that ``exists``/``certain``/``possible`` answer at the
+  same scale.
 * **exactness** — not a timing: random or-set values cross-checked
   against the brute-force worlds oracle — the count is *exact* on both
   the certificate path and the enumeration fallback; a mismatch fails
@@ -103,6 +104,9 @@ def _workloads(quick: bool = False) -> list[dict]:
     t_certain, _c = _best_of(
         lambda: engine.certain(COUNT_QUERY, x, backend="auto", intern=False)
     )
+    t_possible, _p = _best_of(
+        lambda: engine.possible(COUNT_QUERY, x, backend="auto", intern=False)
+    )
     results.append(
         {
             "workload": "beyond-enumeration",
@@ -111,6 +115,7 @@ def _workloads(quick: bool = False) -> list[dict]:
             "count_s": t_count,
             "exists_s": t_exists,
             "certain_s": t_certain,
+            "possible_s": t_possible,
         }
     )
 
@@ -194,7 +199,8 @@ def main() -> None:
                 f"{row['workload']:<22} {'(3^19 worlds)':>12}"
                 f" {row['count_s'] * 1000:>14.2f}"
                 f"   exists {row['exists_s'] * 1000:.2f} ms,"
-                f" certain {row['certain_s'] * 1000:.2f} ms"
+                f" certain {row['certain_s'] * 1000:.2f} ms,"
+                f" possible {row['possible_s'] * 1000:.2f} ms"
             )
         else:
             print(

@@ -479,32 +479,25 @@ class Engine:
         over a streamable spine, the streaming backend is chosen so the
         first witness short-circuits without materializing a normal form.
         """
-        plan = self.compile(program, optimize)
-        interner = self.interner if intern else None
-        concrete = ensure_value(value)
-        if interner is not None:
-            concrete = interner.intern(concrete)
-        if backend == "auto":
-            choice = select_backend(
-                plan, concrete, existential=True, available=self._available()
-            )
-            chosen = self.backends[choice.backend]
-        else:
-            chosen = self._backend(backend)
+        plan, concrete, interner = self._world_query_setup(
+            program, value, optimize, intern
+        )
+        chosen = self._world_query_backend(plan, concrete, backend, world_query=False)
         return chosen.possibilities(plan, concrete, interner)
 
     # -- world queries -----------------------------------------------------
 
     def _world_query_backend(
-        self, plan: Plan, concrete: Value, backend: str
+        self, plan: Plan, concrete: Value, backend: str, world_query: bool = True
     ) -> Backend:
-        """Resolve the backend for a world query (whole-world-set consumer)."""
+        """Resolve the backend for a world query: a whole-world-set
+        consumer, or with ``world_query=False`` a first-witness one."""
         if backend == "auto":
             choice = select_backend(
                 plan,
                 concrete,
                 existential=True,
-                world_query=True,
+                world_query=world_query,
                 available=self._available(),
             )
             return self.backends[choice.backend]
@@ -557,14 +550,18 @@ class Engine:
         """Does some world of the output satisfy *predicate*?
 
         With no predicate: is the output consistent (has any world at
-        all)?  The symbolic route answers that without producing one.
-        With a predicate (any ``Value -> bool`` callable), worlds are
-        streamed lazily and the first witness short-circuits.
+        all)?  That is a world query, and the symbolic route answers it
+        without producing a world.  With a predicate (any
+        ``Value -> bool`` callable) it is a first-witness consumer, routed
+        like :meth:`possibilities`: worlds are streamed lazily and the
+        first witness short-circuits.
         """
         plan, concrete, interner = self._world_query_setup(
             program, value, optimize, intern
         )
-        chosen = self._world_query_backend(plan, concrete, backend)
+        chosen = self._world_query_backend(
+            plan, concrete, backend, world_query=predicate is None
+        )
         if predicate is None and isinstance(chosen, SymbolicBackend):
             return chosen.exists(plan, concrete, interner)
         stream = chosen.possibilities(plan, concrete, interner)
@@ -589,8 +586,10 @@ class Engine:
         intersection of their element sets, as a canonical ``SetValue``.
         Raises :class:`~repro.errors.OrNRAValueError` when the output
         has no worlds at all (inconsistency).  The symbolic route
-        answers each membership with one SAT call instead of
-        intersecting exponentially many worlds.
+        intersects no worlds: it recurses on the traced surrogate, where
+        an element is certain iff it is the only world of some set
+        member, and an or-set intersects its branches' answers
+        (:func:`repro.engine.symbolic.world_members`).
         """
         plan, concrete, interner = self._world_query_setup(
             program, value, optimize, intern

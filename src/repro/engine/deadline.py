@@ -11,7 +11,8 @@ context variable:
 * the evaluation loops call :func:`checkpoint` at their natural stage
   boundaries — per plan node in the sharded walk, per element on the
   streaming spine, per fused columnar stage, per solver restart and per
-  membership SAT call in the symbolic backend, per input in
+  member world read by a certain/possible query in the symbolic
+  backend, per input in
   ``Engine.run_many`` — and the first checkpoint past the deadline
   raises.
 

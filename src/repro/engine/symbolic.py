@@ -29,11 +29,15 @@ goes around the wall with knowledge compilation:
    O(1), lazy model enumeration streams (decoded, deduplicated) worlds,
    the model count gives ``count_worlds`` in circuit-linear time
    whenever the space's *injectivity certificate* proves models map
-   one-to-one onto distinct worlds, and certain/possible membership is
-   one CDCL call (:func:`repro.sat.dpll.dpll_sat`) per candidate.
+   one-to-one onto distinct worlds.  Certain/possible membership needs
+   no circuit and no solver: :func:`world_members` recurses on the
+   surrogate itself — a set's members choose their worlds independently,
+   so an element is certain iff it is some member's only world and
+   possible iff it is some member's world; an or-set intersects or
+   unites its branches' answers.
 
-Everything degrades soundly: unsupported plans, non-injective spaces and
-non-flat membership structures fall back to the eager enumeration path,
+Everything degrades soundly: unsupported plans fall back to the eager
+enumeration path and non-injective spaces to deduplicated enumeration,
 so :meth:`SymbolicBackend.execute`/``possibilities`` stay conformant
 with every other backend on every program (the differential suite runs
 them against the direct interpreter), while supported queries at
@@ -45,6 +49,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.normalize import Normalize
+from repro.core.worlds import iter_worlds
 from repro.errors import OrNRATypeError, OrNRAValueError
 from repro.lang.orset_ops import Alpha, OrMap
 from repro.sat.cnf import CNF, Clause
@@ -72,6 +77,7 @@ __all__ = [
     "SymbolicUnsupported",
     "ChoiceSpace",
     "trace_worlds",
+    "world_members",
     "plan_supports_symbolic",
 ]
 
@@ -360,82 +366,13 @@ class ChoiceSpace:
         self.circuit()  # exhaustive anyway; paths beat repeated solving
         return sum(1 for _ in self.iter_worlds())
 
-    def member_sites(self):
-        """The flat membership structure for certain/possible queries.
-
-        When the root is a set/bag whose members are each either fixed
-        (choice-free) or a single or-site with fixed branches, membership
-        of an element in a world is decided by one site's bit pattern —
-        returns ``(fixed_values, [(patterns, branch_values)])`` with one
-        bit-literal conjunction per branch.  Raises
-        :exc:`SymbolicUnsupported` on any deeper nesting (callers fall
-        back to enumeration).
-        """
-        if self.root[0] not in ("set", "bag"):
-            raise SymbolicUnsupported("root is not a collection")
-        fixed: list[Value] = []
-        sites: list[tuple[tuple[tuple[int, ...], ...], tuple[Value, ...]]] = []
-        for member in self.root[1]:
-            while member[0] == "or" and not member[1] and member[2]:
-                member = member[2][0]
-            if member[0] == "or" and not member[2]:
-                # An empty or-site: the whole space has no worlds — the
-                # callers' satisfiability check raises for it.
-                continue
-            if _node_is_fixed(member):
-                fixed.append(_fixed_value(member))
-                continue
-            if member[0] != "or" or not member[1]:
-                raise SymbolicUnsupported("nested choices in a member")
-            bits, subs = member[1], member[2]
-            if not all(_node_is_fixed(sub) for sub in subs):
-                raise SymbolicUnsupported("nested choices in a member")
-            patterns = tuple(_pattern(bits, i) for i in range(len(subs)))
-            sites.append((patterns, tuple(_fixed_value(sub) for sub in subs)))
-        return fixed, sites
-
     def certain_members(self) -> frozenset[Value]:
-        """Elements present in *every* world: one UNSAT check each."""
-        fixed, sites = self.member_sites()
-        if not self.satisfiable():
-            raise OrNRAValueError("certain() of an inconsistent value (no worlds)")
-        certain = set(fixed)
-        candidates: dict[Value, list[tuple[int, ...]]] = {}
-        for patterns, values in sites:
-            for pattern, branch_value in zip(patterns, values, strict=True):
-                candidates.setdefault(branch_value, []).append(pattern)
-        base = self._clauses
-        for candidate, patterns in candidates.items():
-            checkpoint("symbolic certain membership")
-            if candidate in certain:
-                continue
-            # Certain iff "no world omits it": CNF plus, per occurrence,
-            # a clause denying that branch's bit pattern is UNSAT.
-            blocked = tuple(base) + tuple(
-                frozenset(-lit for lit in pattern) for pattern in patterns
-            )
-            if not dpll_sat(CNF(self._n_vars, blocked)):
-                certain.add(candidate)
-        return frozenset(certain)
+        """Elements present in *every* world (see :func:`world_members`)."""
+        return world_members(self.value, certain=True)
 
     def possible_members(self) -> frozenset[Value]:
-        """Elements present in *some* world: one SAT check each."""
-        fixed, sites = self.member_sites()
-        if not self.satisfiable():
-            raise OrNRAValueError("possible() of an inconsistent value (no worlds)")
-        possible = set(fixed)
-        base = self._clauses
-        for patterns, values in sites:
-            for pattern, branch_value in zip(patterns, values, strict=True):
-                checkpoint("symbolic possible membership")
-                if branch_value in possible:
-                    continue
-                chosen = tuple(base) + tuple(
-                    frozenset((lit,)) for lit in pattern
-                )
-                if dpll_sat(CNF(self._n_vars, chosen)):
-                    possible.add(branch_value)
-        return frozenset(possible)
+        """Elements present in *some* world (see :func:`world_members`)."""
+        return world_members(self.value, certain=False)
 
 
 def _pattern(bits: tuple[int, ...], index: int) -> tuple[int, ...]:
@@ -445,30 +382,66 @@ def _pattern(bits: tuple[int, ...], index: int) -> tuple[int, ...]:
     )
 
 
-def _node_is_fixed(node) -> bool:
-    tag = node[0]
-    if tag == "leaf":
-        return True
-    if tag == "pair":
-        return _node_is_fixed(node[1]) and _node_is_fixed(node[2])
-    if tag == "variant":
-        return _node_is_fixed(node[2])
-    if tag in ("set", "bag"):
-        return all(_node_is_fixed(e) for e in node[1])
-    return False  # an or-site
+# -- certain/possible by structural recursion --------------------------------
 
 
-def _fixed_value(node) -> Value:
-    tag = node[0]
-    if tag == "leaf":
-        return node[1]
-    if tag == "pair":
-        return Pair(_fixed_value(node[1]), _fixed_value(node[2]))
-    if tag == "variant":
-        return Variant(node[1], _fixed_value(node[2]))
-    if tag == "set":
-        return SetValue(_fixed_value(e) for e in node[1])
-    return BagValue(_fixed_value(e) for e in node[1])
+def world_members(value: Value, *, certain: bool) -> frozenset[Value]:
+    """The elements of every (*certain*) or of some world of *value*.
+
+    No solver and no world of *value* itself.  A set's worlds pick one
+    world of each member, every member on its own, so an element is in
+    some world iff it is a world of some member, and in every world iff
+    it is the *only* world of some member (the block independence
+    Koutris–Wijsen use for certain answers over key repairs).  An
+    or-set's worlds are the union of its branches' worlds, so its answer
+    intersects (certain) or unites (possible) the answers of the
+    branches that have worlds.  Every member world read passes a
+    deadline checkpoint.
+
+    Raises :class:`~repro.errors.OrNRAValueError` when *value* has no
+    worlds and :class:`~repro.errors.OrNRATypeError` when its worlds are
+    not collections, as eager enumeration does.
+    """
+    found = _members(value, certain)
+    if found is None:
+        query = "certain" if certain else "possible"
+        raise OrNRAValueError(f"{query}() of an inconsistent value (no worlds)")
+    return found
+
+
+def _members(v: Value, certain: bool) -> frozenset[Value] | None:
+    """:func:`world_members` of *v*, or ``None`` when *v* has no worlds."""
+    if isinstance(v, OrSetValue):
+        result: frozenset[Value] | None = None
+        for branch in v.elems:
+            got = _members(branch, certain)
+            if got is None:
+                continue
+            if result is None:
+                result = got
+            else:
+                result = result & got if certain else result | got
+            if certain and not result:
+                break
+        return result
+    if isinstance(v, (SetValue, BagValue)):
+        found: set[Value] = set()
+        for member in v.elems:
+            seen: set[Value] = set()
+            for world in iter_worlds(member):
+                checkpoint("symbolic member world")
+                seen.add(world)
+                if certain and len(seen) > 1:
+                    break  # not this member's only world: never certain
+            if not seen:
+                return None
+            if not certain or len(seen) == 1:
+                found |= seen
+        return frozenset(found)
+    world = next(iter_worlds(v), None)
+    if world is None:
+        return None
+    return _world_elements(world)  # an atom, pair or variant: raises
 
 
 # -- the injectivity certificate ---------------------------------------------
@@ -541,10 +514,10 @@ class SymbolicBackend(Backend):
     nothing to add when the caller wants the materialized output value,
     and delegation keeps the backend conformant on arbitrary programs.
     The wins are the world-query methods: ``possibilities`` (lazy
-    decoded model enumeration), :meth:`count_worlds`, :meth:`exists`,
-    :meth:`certain` and :meth:`possible`, all running on the compiled
-    circuit when the trace supports the plan and falling back to eager
-    enumeration when it does not.
+    decoded model enumeration), :meth:`count_worlds` and :meth:`exists`
+    on the compiled choice space, :meth:`certain` and :meth:`possible`
+    by :func:`world_members` on the traced surrogate — all falling back
+    to eager enumeration when the trace does not support the plan.
     """
 
     name = "symbolic"
@@ -595,26 +568,20 @@ class SymbolicBackend(Backend):
     def certain(
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> frozenset[Value]:
-        space = self.space(plan, value)
-        if space is not None:
-            try:
-                return space.certain_members()
-            except SymbolicUnsupported:
-                worlds = space.iter_worlds()
-                return _certain_of_worlds(worlds)
-        return _certain_of_worlds(self._eager.possibilities(plan, value, interner))
+        try:
+            surrogate = trace_worlds(plan, value)
+        except SymbolicUnsupported:
+            return _certain_of_worlds(self._eager.possibilities(plan, value, interner))
+        return world_members(surrogate, certain=True)
 
     def possible(
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> frozenset[Value]:
-        space = self.space(plan, value)
-        if space is not None:
-            try:
-                return space.possible_members()
-            except SymbolicUnsupported:
-                worlds = space.iter_worlds()
-                return _possible_of_worlds(worlds)
-        return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
+        try:
+            surrogate = trace_worlds(plan, value)
+        except SymbolicUnsupported:
+            return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
+        return world_members(surrogate, certain=False)
 
 
 def _dedup_count(worlds: Iterator[Value]) -> int:

@@ -103,6 +103,17 @@ class TestBackendCheckpoints:
             with pytest.raises(DeadlineExceeded):
                 eng.certain(Id(), x, backend="symbolic")
 
+    def test_symbolic_membership_checks_per_member_world(self):
+        # One member with 3^12 worlds: possible() reads that member's
+        # worlds one at a time, and the first read past the deadline
+        # raises.
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(12)
+        with deadline_scope(Deadline.after(0.0)):
+            with pytest.raises(DeadlineExceeded, match="symbolic member world"):
+                E.Engine().possible(Id(), vset(x), backend="symbolic")
+
     def test_result_identical_when_deadline_is_generous(self):
         plan_input = vset(vorset(1, 2), vorset(3, 4))
         program = Compose(SetMu(), SetMap(OrToSet()))

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
-from repro.engine import BACKENDS, Engine
+from repro.engine import BACKENDS, Engine, symbolic
 from repro.engine.symbolic import (
     ChoiceSpace,
     SymbolicBackend,
@@ -115,25 +115,64 @@ class TestChoiceSpaceOracle:
         assert not space.satisfiable()
         assert space.count_worlds() == 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(typed_orset_values(max_depth=2, max_width=3, min_width=1))
+    @settings(max_examples=80, deadline=None)
+    @given(typed_orset_values(max_depth=3, max_width=3, min_width=0))
     def test_membership_queries_match_oracle(self, pair):
+        # Every root shape: sets, bags, or-sets, pairs and atoms, nested
+        # members and empty or-sets.  Answers equal the worlds oracle;
+        # errors match eager's error types.
         value, _t = pair
-        if not isinstance(value, SetValue):
-            return
         space = ChoiceSpace(value)
-        try:
-            got_certain = space.certain_members()
-            got_possible = space.possible_members()
-        except SymbolicUnsupported:
-            return
-        world_set = list(worlds(value))
-        assert got_certain == certain_of(world_set)
-        assert got_possible == possible_of(world_set)
+        for query, members, oracle in (
+            (ENGINE.certain, space.certain_members, certain_of),
+            (ENGINE.possible, space.possible_members, possible_of),
+        ):
+            try:
+                expected = SetValue(query(TIGHT_QUERY, value, backend="eager"))
+                expected_error = None
+            except OrNRAError as exc:
+                expected, expected_error = None, type(exc)
+            try:
+                got = SetValue(members())
+                got_error = None
+            except OrNRAError as exc:
+                got, got_error = None, type(exc)
+            assert got_error == expected_error
+            assert got == expected
+            if expected_error is None:
+                assert got == SetValue(oracle(worlds(value)))
 
     def test_certain_of_inconsistent_value_raises(self):
+        space = ChoiceSpace(vset(vorset(), vorset(1)))
         with pytest.raises(OrNRAValueError):
-            ChoiceSpace(vset(vorset(), vorset(1))).certain_members()
+            space.certain_members()
+        with pytest.raises(OrNRAValueError):
+            space.possible_members()
+
+    def test_membership_makes_no_sat_call(self, monkeypatch):
+        # certain/possible recurse on the surrogate; a solver call per
+        # candidate (or any solver call at all) is a regression.
+        calls = []
+
+        def counting(name, solve):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("dpll_sat", "dpll_solve"):
+            monkeypatch.setattr(symbolic, name, counting(name, getattr(symbolic, name)))
+        x, _t = tight_family(8)
+        nested = vset(
+            vorset(vset(vorset(1, 2), vorset(3)), vset(vorset(4))),
+            vorset(vset(vorset(5))),
+        )
+        for value in (x, nested, vorset(x, tight_family(5)[0])):
+            for query in (ENGINE.certain, ENGINE.possible):
+                expected = query(TIGHT_QUERY, value, backend="eager")
+                assert query(TIGHT_QUERY, value, backend="symbolic") == expected
+                assert calls == []
 
 
 class TestBackendConformance:
@@ -217,6 +256,21 @@ class TestEngineWorldQueries:
         assert ENGINE.exists(TIGHT_QUERY, v)
         assert ENGINE.exists(TIGHT_QUERY, v, lambda w: two in w.elems)
         assert not ENGINE.exists(TIGHT_QUERY, vset(vorset()))
+
+    def test_exists_with_a_predicate_is_a_first_witness_query(self, monkeypatch):
+        # A predicate makes exists() stream worlds until the first
+        # witness, so it routes like possibilities(), never to the
+        # symbolic backend's blocking-clause enumeration.
+        x, _t = tight_family(6)
+        assert ENGINE.choose_backend(TIGHT_QUERY, x, world_query=True).backend == "symbolic"
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("first-witness exists() routed symbolic")
+
+        monkeypatch.setattr(SymbolicBackend, "possibilities", refuse)
+        assert not ENGINE.exists(TIGHT_QUERY, x, lambda w: False)
+        assert ENGINE.exists(TIGHT_QUERY, x, lambda w: len(w.elems) == 6)
+        assert ENGINE.exists(TIGHT_QUERY, x)  # no predicate: still symbolic
 
     def test_auto_routes_huge_world_queries_symbolic(self):
         # The acceptance workload: >= 10^9 estimated worlds on a
