@@ -10,9 +10,9 @@ context variable:
   ``timeout=``) wraps evaluation in :func:`deadline_scope`;
 * the evaluation loops call :func:`checkpoint` at their natural stage
   boundaries — per plan node in the sharded walk, per element on the
-  streaming spine, per fused columnar stage, per solver restart and per
-  member world read by a certain/possible query in the symbolic
-  backend, per input in
+  streaming spine, per fused columnar stage, per solver restart, per
+  member and per member world read by a certain/possible query in the
+  symbolic backend, per input in
   ``Engine.run_many`` — and the first checkpoint past the deadline
   raises.
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.normalize import Normalize
-from repro.core.worlds import iter_worlds
 from repro.errors import OrNRATypeError, OrNRAValueError
 from repro.lang.orset_ops import Alpha, OrMap
 from repro.sat.cnf import CNF, Clause
@@ -395,53 +394,192 @@ def world_members(value: Value, *, certain: bool) -> frozenset[Value]:
     Koutris–Wijsen use for certain answers over key repairs).  An
     or-set's worlds are the union of its branches' worlds, so its answer
     intersects (certain) or unites (possible) the answers of the
-    branches that have worlds.  Every member world read passes a
-    deadline checkpoint.
+    branches that have worlds.
+
+    ``possible`` reads each member's worlds lazily, one at a time and
+    with a deadline checkpoint per world; ``certain`` decides "exactly
+    one world" structurally (:meth:`_WorldReader.sole`) and enumerates
+    nothing unless a nested set could collapse several choices into one
+    world.
 
     Raises :class:`~repro.errors.OrNRAValueError` when *value* has no
     worlds and :class:`~repro.errors.OrNRATypeError` when its worlds are
     not collections, as eager enumeration does.
     """
-    found = _members(value, certain)
+    found = _WorldReader().members(value, certain)
     if found is None:
         query = "certain" if certain else "possible"
         raise OrNRAValueError(f"{query}() of an inconsistent value (no worlds)")
     return found
 
 
-def _members(v: Value, certain: bool) -> frozenset[Value] | None:
-    """:func:`world_members` of *v*, or ``None`` when *v* has no worlds."""
-    if isinstance(v, OrSetValue):
-        result: frozenset[Value] | None = None
-        for branch in v.elems:
-            got = _members(branch, certain)
-            if got is None:
-                continue
-            if result is None:
-                result = got
+_NO_WORLD = object()
+_MANY_WORLDS = object()
+
+
+class _WorldReader:
+    """World-level reads of one value, lazy at every depth.
+
+    :func:`repro.core.worlds.iter_worlds` materializes every world of a
+    set's members before its first yield, so a doubly nested set builds
+    its whole world set up front.  :meth:`worlds` instead advances an
+    odometer over per-member generators: memory stays proportional to
+    the value, and uninhabited branches are pruned (memoized by node),
+    so the work between two yielded worlds is polynomial.
+    """
+
+    def __init__(self) -> None:
+        # Keyed by id(): every node asked about is part of the value
+        # being read, so it stays alive as long as the reader does.
+        self._inhabited: dict[int, bool] = {}
+
+    def members(self, v: Value, certain: bool) -> frozenset[Value] | None:
+        """:func:`world_members` of *v*, or ``None`` when *v* has no worlds."""
+        if isinstance(v, OrSetValue):
+            result: frozenset[Value] | None = None
+            for branch in v.elems:
+                got = self.members(branch, certain)
+                if got is None:
+                    continue
+                if result is None:
+                    result = got
+                else:
+                    result = result & got if certain else result | got
+                if certain and not result:
+                    break
+            return result
+        if isinstance(v, (SetValue, BagValue)):
+            found: set[Value] = set()
+            for member in v.elems:
+                if certain:
+                    checkpoint("symbolic member")
+                    sole = self.sole(member)
+                    if sole is _NO_WORLD:
+                        return None
+                    if sole is not _MANY_WORLDS:
+                        found.add(sole)
+                    continue
+                empty = True
+                for world in self.worlds(member):
+                    checkpoint("symbolic member world")
+                    empty = False
+                    found.add(world)
+                if empty:
+                    return None
+            return frozenset(found)
+        world = next(self.worlds(v), None)
+        if world is None:
+            return None
+        return _world_elements(world)  # an atom, pair or variant: raises
+
+    def sole(self, v: Value):
+        """*v*'s only world, ``_NO_WORLD`` or ``_MANY_WORLDS``.
+
+        Exact, by structural recursion.  A pair, variant or bag has one
+        world iff each part has one; an or-set iff its inhabited
+        branches share one.  A set can collapse: ``{<1, 2>, <1>, <2>}``
+        has the single world ``{1, 2}``.  It has one world iff every world
+        of its multi-world members is already the sole world of some
+        member, checked by reading those members' worlds until one
+        falls outside.
+        """
+        if isinstance(v, (Atom, UnitValue)):
+            return v
+        if isinstance(v, Pair):
+            fst, snd = self.sole(v.fst), self.sole(v.snd)
+            if fst is _NO_WORLD or snd is _NO_WORLD:
+                return _NO_WORLD
+            if fst is _MANY_WORLDS or snd is _MANY_WORLDS:
+                return _MANY_WORLDS
+            return Pair(fst, snd)
+        if isinstance(v, Variant):
+            payload = self.sole(v.payload)
+            if payload is _NO_WORLD or payload is _MANY_WORLDS:
+                return payload
+            return Variant(v.side, payload)
+        if isinstance(v, OrSetValue):
+            only = _NO_WORLD
+            for branch in v.elems:
+                got = self.sole(branch)
+                if got is _NO_WORLD:
+                    continue
+                if got is _MANY_WORLDS or (only is not _NO_WORLD and got != only):
+                    return _MANY_WORLDS
+                only = got
+            return only
+        if isinstance(v, (SetValue, BagValue)):
+            parts = [self.sole(m) for m in v.elems]
+            if any(p is _NO_WORLD for p in parts):
+                return _NO_WORLD
+            if isinstance(v, BagValue):
+                if any(p is _MANY_WORLDS for p in parts):
+                    return _MANY_WORLDS
+                return BagValue(parts)
+            fixed = {p for p in parts if p is not _MANY_WORLDS}
+            for member, part in zip(v.elems, parts):
+                if part is _MANY_WORLDS:
+                    for world in self.worlds(member):
+                        checkpoint("symbolic member world")
+                        if world not in fixed:
+                            return _MANY_WORLDS
+            return SetValue(fixed)
+        raise OrNRAValueError(f"not a value: {v!r}")
+
+    def worlds(self, v: Value) -> Iterator[Value]:
+        """``iter_worlds(v)``, lazily (may repeat)."""
+        if self.inhabited(v):
+            yield from self._walk(v)
+
+    def inhabited(self, v: Value) -> bool:
+        key = id(v)
+        got = self._inhabited.get(key)
+        if got is None:
+            if isinstance(v, OrSetValue):
+                got = any(self.inhabited(e) for e in v.elems)
+            elif isinstance(v, (SetValue, BagValue)):
+                got = all(self.inhabited(e) for e in v.elems)
+            elif isinstance(v, Pair):
+                got = self.inhabited(v.fst) and self.inhabited(v.snd)
+            elif isinstance(v, Variant):
+                got = self.inhabited(v.payload)
             else:
-                result = result & got if certain else result | got
-            if certain and not result:
-                break
-        return result
-    if isinstance(v, (SetValue, BagValue)):
-        found: set[Value] = set()
-        for member in v.elems:
-            seen: set[Value] = set()
-            for world in iter_worlds(member):
-                checkpoint("symbolic member world")
-                seen.add(world)
-                if certain and len(seen) > 1:
-                    break  # not this member's only world: never certain
-            if not seen:
-                return None
-            if not certain or len(seen) == 1:
-                found |= seen
-        return frozenset(found)
-    world = next(iter_worlds(v), None)
-    if world is None:
-        return None
-    return _world_elements(world)  # an atom, pair or variant: raises
+                got = True
+            self._inhabited[key] = got
+        return got
+
+    def _walk(self, v: Value) -> Iterator[Value]:
+        """The worlds of an inhabited *v*; every branch taken has one."""
+        if isinstance(v, (Atom, UnitValue)):
+            yield v
+        elif isinstance(v, Pair):
+            for fst in self._walk(v.fst):
+                for snd in self._walk(v.snd):
+                    yield Pair(fst, snd)
+        elif isinstance(v, Variant):
+            for payload in self._walk(v.payload):
+                yield Variant(v.side, payload)
+        elif isinstance(v, OrSetValue):
+            for branch in v.elems:
+                if self.inhabited(branch):
+                    yield from self._walk(branch)
+        elif isinstance(v, (SetValue, BagValue)):
+            kind, members = type(v), v.elems
+            readers = [self._walk(m) for m in members]
+            picked = [next(r) for r in readers]
+            yield kind(picked)
+            while True:  # odometer: the last member varies fastest
+                for i in reversed(range(len(members))):
+                    world = next(readers[i], _NO_WORLD)
+                    if world is not _NO_WORLD:
+                        picked[i] = world
+                        break
+                    readers[i] = self._walk(members[i])
+                    picked[i] = next(readers[i])
+                else:
+                    return
+                yield kind(picked)
+        else:
+            raise OrNRAValueError(f"not a value: {v!r}")
 
 
 # -- the injectivity certificate ---------------------------------------------

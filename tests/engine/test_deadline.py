@@ -12,6 +12,8 @@ supervised recovery is built from: the seeded-backoff
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import engine as E
@@ -113,6 +115,33 @@ class TestBackendCheckpoints:
         with deadline_scope(Deadline.after(0.0)):
             with pytest.raises(DeadlineExceeded, match="symbolic member world"):
                 E.Engine().possible(Id(), vset(x), backend="symbolic")
+
+    def test_symbolic_membership_is_lazy_below_nested_sets(self):
+        # A doubly nested member: its one member has 3^12 worlds, so
+        # the outer member has 3^12 worlds that are sets.  auto routes
+        # this symbolic; reading it must neither build those worlds up
+        # front nor skip the checkpoints.
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(12)
+        nested = vset(vset(x))
+        eng = E.Engine()
+        assert eng.choose_backend(Id(), nested, world_query=True).backend == "symbolic"
+        for query in (eng.certain, eng.possible):
+            with deadline_scope(Deadline.after(0.0)):
+                with pytest.raises(DeadlineExceeded, match="symbolic member"):
+                    query(Id(), nested)
+        # certain decides "more than one world" structurally: it answers
+        # well inside a deadline that building the worlds would blow.
+        with deadline_scope(Deadline.after(1.0)):
+            assert eng.certain(Id(), nested) == vset()
+        # possible must enumerate, but a short deadline stops it
+        # mid-member rather than after the member's worlds are built.
+        deadline = Deadline.after(0.05)
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceeded, match="symbolic member world"):
+                eng.possible(Id(), nested)
+        assert time.monotonic() - deadline.at < 1.0
 
     def test_result_identical_when_deadline_is_generous(self):
         plan_input = vset(vorset(1, 2), vorset(3, 4))

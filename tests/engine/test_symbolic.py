@@ -149,6 +149,18 @@ class TestChoiceSpaceOracle:
         with pytest.raises(OrNRAValueError):
             space.possible_members()
 
+    def test_certain_sees_a_collapsing_nested_set(self):
+        # {<1, 2>, <1>, <2>} has two choice vectors but one world,
+        # {1, 2}: a member with a multi-world part can still be certain.
+        collapsing = vset(vorset(1, 2), vorset(1), vorset(2))
+        for value in (vset(collapsing, vset(vorset(3, 4))), vorset(vset(collapsing))):
+            for query in (ENGINE.certain, ENGINE.possible):
+                expected = query(TIGHT_QUERY, value, backend="eager")
+                assert query(TIGHT_QUERY, value, backend="symbolic") == expected
+        assert ENGINE.certain(
+            TIGHT_QUERY, vset(collapsing), backend="symbolic"
+        ) == vset(vset(1, 2))
+
     def test_membership_makes_no_sat_call(self, monkeypatch):
         # certain/possible recurse on the surrogate; a solver call per
         # candidate (or any solver call at all) is a regression.
